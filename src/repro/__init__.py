@@ -16,6 +16,7 @@ Subpackages
 - :mod:`repro.resilience` — fault injection + graceful degradation.
 - :mod:`repro.serve` — multi-session serving runtime (micro-batching,
   window cache, admission control).
+- :mod:`repro.blas` — pins the loaded BLAS to the calling thread.
 """
 
 __version__ = "1.0.0"
@@ -23,6 +24,7 @@ __version__ = "1.0.0"
 __all__ = [
     "affect",
     "android",
+    "blas",
     "core",
     "datasets",
     "dsp",

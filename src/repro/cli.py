@@ -559,6 +559,10 @@ def _profile(args: argparse.Namespace) -> None:
     samples = result["attribution"]["samples"]
     print(f"attribution: {fraction * 100:.1f}% of {samples} samples "
           "carry a stage (gate: >= 90%)")
+    untracked = result["profile"].get("untracked_cpu_frac")
+    if untracked is not None:
+        print(f"untracked:   {untracked * 100:.1f}% of process CPU ran on "
+              "native threads no sample can see")
     if fraction < 0.90:
         # The attribution contract: continuous profiling is only useful
         # if nearly every sample maps to a named pipeline stage.

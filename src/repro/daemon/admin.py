@@ -14,11 +14,14 @@ owns):
   bundles, inlined as JSON (``incident.json`` + ``snapshots.jsonl`` +
   ``trace.json``), so an operator can pull the black box of a page
   straight off the box that fired it;
-- ``/debug/prof/cpu[?seconds=N]`` — a collapsed-stack CPU profile
-  (flamegraph.pl/speedscope format): the resident sampler's cumulative
-  profile by default, or a fresh ``N``-second window (clamped to
-  :data:`PROF_MAX_SECONDS`) collected without blocking the plane —
-  the wait is an ``await``, so ``/metrics`` keeps serving meanwhile;
+- ``/debug/prof/cpu[?seconds=N][&format=json]`` — a collapsed-stack
+  CPU profile (flamegraph.pl/speedscope format): the resident sampler's
+  cumulative profile by default, or a fresh ``N``-second window
+  (clamped to :data:`PROF_MAX_SECONDS`) collected without blocking the
+  plane — the wait is an ``await``, so ``/metrics`` keeps serving
+  meanwhile.  ``format=json`` wraps it with the sampler's stats,
+  including ``untracked_cpu_frac`` (the CPU share of native threads no
+  sample can see);
 - ``/debug/prof/heap`` — the allocation profile as JSON (top sites,
   per-stage net bytes, growth rate); the first hit lazily starts
   ``tracemalloc``, which is deliberately not always-on.
@@ -60,17 +63,24 @@ def clamp_prof_seconds(seconds: float) -> float:
     return min(seconds, PROF_MAX_SECONDS)
 
 
+def _query_value(target: str, name: str) -> str | None:
+    """The first ``name=value`` of the query string; None if absent."""
+    for part in target.partition("?")[2].split("&"):
+        key, _, value = part.partition("=")
+        if key == name:
+            return value
+    return None
+
+
 def _parse_prof_seconds(target: str) -> float | None:
     """The clamped ``seconds`` query value; 0 if absent, None if malformed."""
-    query = target.partition("?")[2]
-    for part in query.split("&"):
-        key, _, value = part.partition("=")
-        if key == "seconds":
-            try:
-                return clamp_prof_seconds(float(value))
-            except ValueError:
-                return None
-    return 0.0
+    value = _query_value(target, "seconds")
+    if value is None:
+        return 0.0
+    try:
+        return clamp_prof_seconds(float(value))
+    except ValueError:
+        return None
 
 
 def _response(status: str, content_type: str, body: bytes) -> bytes:
@@ -176,6 +186,11 @@ async def _route_prof(daemon: "ReproDaemon", path: str,
             return _json_response(
                 "400 Bad Request", {"error": "malformed seconds parameter"}
             )
+        fmt = _query_value(target, "format") or "text"
+        if fmt not in ("text", "json"):
+            return _json_response(
+                "400 Bad Request", {"error": "format must be text or json"}
+            )
         if seconds == 0.0:
             sampler = daemon.profiler
         else:
@@ -192,6 +207,11 @@ async def _route_prof(daemon: "ReproDaemon", path: str,
                 await asyncio.sleep(seconds)
             finally:
                 sampler.stop()
+        if fmt == "json":
+            return _json_response(
+                "200 OK",
+                {**sampler.stats(), "collapsed": sampler.collapsed()},
+            )
         body = sampler.collapsed().encode("utf-8")
         return _response("200 OK", "text/plain; charset=utf-8", body)
     if kind == "heap":

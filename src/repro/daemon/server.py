@@ -21,7 +21,9 @@ Architecture — one event loop, one worker thread, one clock:
   serialises server calls, which (together with asyncio's FIFO future
   callbacks) guarantees per-session results are dispatched in
   submission order — the invariant the seq-matching in
-  :meth:`ReproDaemon._dispatch` relies on.
+  :meth:`ReproDaemon._dispatch` relies on.  BLAS runs on that worker
+  too: ``AffectServer`` pins OpenBLAS to its caller (:mod:`repro.blas`),
+  so no native pool spins beside it; ``/healthz`` reports the count.
 - **Admission gates.**  A connection cap with LRU preemption (the
   evicted peer gets an explicit ``preempted`` frame before close — the
   serve layer's never-silent-drop contract extended to connections)
@@ -282,6 +284,7 @@ class ReproDaemon:
             "protocol_errors": self.protocol_errors,
             "max_connections": self.config.max_connections,
             "max_inflight": self.config.max_inflight,
+            "blas_threads": self.server.blas_threads,
             "server": stats,
         }
 

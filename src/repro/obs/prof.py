@@ -40,7 +40,9 @@ than the interval are statistically, not individually, represented;
 C-extension work (numpy kernels) is attributed to the Python frame that
 called it; and because the sampler thread must acquire the GIL to run,
 samples land at bytecode boundaries, slightly under-representing tight
-C loops that release the GIL.
+C loops that release the GIL.  Threads the interpreter does not know
+(a native BLAS pool) are never sampled at all;
+:meth:`StackSampler.untracked_cpu_frac` measures their share of CPU.
 
 Serve imports stay function-local: ``repro.obs`` must remain importable
 without numpy.
@@ -54,6 +56,7 @@ import threading
 import time
 import tracemalloc
 from collections import deque
+from pathlib import Path
 from typing import Any
 
 from repro.obs import trace as _trace
@@ -73,6 +76,9 @@ DEFAULT_INTERVAL_S = 0.01
 #: frames are the interesting ones for attribution).
 DEFAULT_MAX_DEPTH = 64
 
+#: Per-thread CPU counters of this process (Linux procfs).
+TASK_DIR = Path("/proc/self/task")
+
 #: Frame label cache keyed by code object (strong refs — bounded by the
 #: program's code, which is what a profiler enumerates anyway).
 _LABEL_CACHE: dict[Any, str] = {}
@@ -90,6 +96,25 @@ def _frame_label(frame: Any) -> str:
         label = f"{module}.{name}".replace(";", ",")
         _LABEL_CACHE[code] = label
     return label
+
+
+def task_cpu_ticks(task_dir: Path = TASK_DIR) -> dict[int, int] | None:
+    """User+system clock ticks per live thread id; None without procfs."""
+    try:
+        tasks = list(task_dir.iterdir())
+    except OSError:
+        return None
+    ticks: dict[int, int] = {}
+    for task in tasks:
+        try:
+            stat = (task / "stat").read_text()
+        except OSError:  # the thread exited while listing
+            continue
+        # Fields after the parenthesised name (which may hold spaces):
+        # utime and stime are stat fields 14 and 15.
+        fields = stat.rpartition(")")[2].split()
+        ticks[int(task.name)] = int(fields[11]) + int(fields[12])
+    return ticks
 
 
 class _TrieNode:
@@ -128,6 +153,12 @@ class StackSampler:
     ``heap``: an optional :class:`HeapProfiler` sampled every
     ``heap_every`` passes (default ≈4 Hz) from the sampler thread, so
     one thread drives both profiles.
+
+    Blind spot: only threads the interpreter knows have frames to
+    sample.  Native threads (an OpenBLAS pool, say) burn CPU no sample
+    shows, so :meth:`untracked_cpu_frac` reports their share of the
+    process's CPU since :meth:`start` (Linux only), published as the
+    ``prof.untracked_cpu_frac`` gauge.
     """
 
     def __init__(
@@ -171,6 +202,10 @@ class StackSampler:
         self.thread_samples: dict[str, int] = {}
         self.started_perf_s: float | None = None
         self.stopped_perf_s: float | None = None
+        self.task_dir = TASK_DIR
+        #: Per-thread CPU ticks at :meth:`start` (empty: since each
+        #: thread began).
+        self._task_baseline: dict[int, int] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -186,6 +221,7 @@ class StackSampler:
                 return self
             _trace.enable_stage_tracking()
             self._stop_event.clear()
+            self._task_baseline = task_cpu_ticks(self.task_dir) or {}
             self.started_perf_s = time.perf_counter()
             self.stopped_perf_s = None
             self._thread = threading.Thread(
@@ -334,6 +370,27 @@ class StackSampler:
             walk(self._root, None)
         return dict(sorted(totals.items(), key=lambda kv: -kv[1]))
 
+    def untracked_cpu_frac(self) -> float | None:
+        """Share of process CPU since :meth:`start` that no sample can see.
+
+        The CPU of live threads with no :mod:`threading` counterpart
+        (matched by ``native_id``) over the CPU of all live threads;
+        ``None`` where there is no per-thread procfs.
+        """
+        ticks = task_cpu_ticks(self.task_dir)
+        if ticks is None:
+            return None
+        tracked = {t.native_id for t in threading.enumerate()}
+        baseline = self._task_baseline
+        total = untracked = 0
+        for tid, used in ticks.items():
+            # max(): a thread id reused since the baseline restarts at 0.
+            used = max(0, used - baseline.get(tid, 0))
+            total += used
+            if tid not in tracked:
+                untracked += used
+        return untracked / total if total else 0.0
+
     def stats(self) -> dict[str, Any]:
         """Counters + attribution summary (JSON-serializable)."""
         with self._lock:
@@ -345,7 +402,7 @@ class StackSampler:
                else time.perf_counter())
         duration = (end - self.started_perf_s
                     if self.started_perf_s is not None else 0.0)
-        return {
+        report = {
             "interval_s": self.interval_s,
             "duration_s": duration,
             "samples": total,
@@ -357,6 +414,10 @@ class StackSampler:
                 sorted(stage_samples.items(), key=lambda kv: -kv[1])),
             "thread_samples": thread_samples,
         }
+        untracked = self.untracked_cpu_frac()
+        if untracked is not None:
+            report["untracked_cpu_frac"] = untracked
+        return report
 
     def publish(self) -> None:
         """Mirror totals into ``prof.*`` registry metrics.
@@ -376,6 +437,9 @@ class StackSampler:
         registry.set_gauge("prof.samples.attributed", float(attributed))
         registry.set_gauge("prof.sampler.overruns", float(overruns))
         registry.set_gauge("prof.threads", float(threads))
+        untracked = self.untracked_cpu_frac()
+        if untracked is not None:
+            registry.set_gauge("prof.untracked_cpu_frac", untracked)
         for stage, count in stages:
             registry.set_gauge(labeled("prof.stage_samples", stage=stage),
                                float(count))
@@ -396,6 +460,7 @@ class StackSampler:
             self.overruns = 0
             self.stage_samples.clear()
             self.thread_samples.clear()
+            self._task_baseline = task_cpu_ticks(self.task_dir) or {}
 
 
 class HeapProfiler:

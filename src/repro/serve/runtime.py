@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import blas
 from repro.affect.pipeline import AffectClassifierPipeline
 from repro.errors import OverloadShedError
 from repro.obs import get_registry, labeled
@@ -121,6 +122,14 @@ class AffectServer:
         clf = pipeline.classifier
         if clf is None:
             raise ValueError("pipeline must be trained before serving")
+        #: Threads BLAS may use (``None``: not OpenBLAS, so unknown).
+        #: Pinned to the calling thread: the runtime owns the process's
+        #: parallelism, and no serve-path GEMM is big enough to gain from
+        #: splitting, so an OpenBLAS pool would only spin between calls.
+        self.blas_threads = blas.limit_threads(1)
+        if self.blas_threads is not None:
+            get_registry().set_gauge("serve.blas_threads",
+                                     float(self.blas_threads))
         self.pipeline = pipeline
         self.config = config or ServeConfig()
         self.label_names = clf.label_names

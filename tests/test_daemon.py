@@ -324,6 +324,8 @@ class TestAdminPlane:
                 assert health["ok"] is True
                 assert health["connections"] == 1
                 assert health["server"]["submitted"] >= 1
+                assert health["blas_threads"] == daemon.server.blas_threads
+                assert health["blas_threads"] in (1, None)
 
                 status, body = await _http_get(
                     daemon.config.host, daemon.admin_port, "/metrics"
@@ -332,6 +334,8 @@ class TestAdminPlane:
                 text = body.decode("utf-8")
                 assert "repro_serve_requests" in text
                 assert "repro_daemon_connections" in text
+                if daemon.server.blas_threads is not None:
+                    assert "repro_serve_blas_threads 1" in text
 
                 status, body = await _http_get(
                     daemon.config.host, daemon.admin_port, "/bundles"
@@ -448,6 +452,34 @@ class TestProfPlane:
             finally:
                 await daemon.stop()
             assert not daemon.profiler.running  # stop() joined the sampler
+
+        asyncio.run(run())
+
+    def test_json_profile_reports_untracked_cpu(self, pipeline, tmp_path):
+        from repro.obs.prof import parse_collapsed, task_cpu_ticks
+
+        async def run():
+            daemon = make_daemon(pipeline, tmp_path, monitor=False)
+            await daemon.start()
+            try:
+                await asyncio.sleep(0.05)
+                status, body = await _http_get(
+                    daemon.config.host, daemon.admin_port,
+                    "/debug/prof/cpu?format=json"
+                )
+                assert status == 200
+                report = json.loads(body)
+                parse_collapsed(report["collapsed"])
+                assert report["samples"] >= 0
+                if task_cpu_ticks() is not None:
+                    assert 0.0 <= report["untracked_cpu_frac"] <= 1.0
+                status, _ = await _http_get(
+                    daemon.config.host, daemon.admin_port,
+                    "/debug/prof/cpu?format=xml"
+                )
+                assert status == 400
+            finally:
+                await daemon.stop()
 
         asyncio.run(run())
 

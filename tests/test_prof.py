@@ -26,6 +26,7 @@ from repro.obs.prof import (
     parse_collapsed,
     profile_counter_events,
     render_flame_summary,
+    task_cpu_ticks,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SLObjective, SnapshotHistory, evaluate_slo
@@ -263,6 +264,72 @@ class TestStackSampler:
         text = render_flame_summary(sampler)
         assert "== profile ==" in text
         assert "serve.dsp" in text
+
+
+def _write_task(root, tid: int, utime: int, stime: int,
+                name: str = "worker") -> None:
+    """One fake ``/proc/self/task/<tid>/stat`` line."""
+    task = root / str(tid)
+    task.mkdir(exist_ok=True)
+    fields = ["S", "1"] + ["0"] * 9 + [str(utime), str(stime)] + ["0"] * 5
+    (task / "stat").write_text(f"{tid} ({name}) " + " ".join(fields) + "\n")
+
+
+class TestUntrackedCpu:
+    #: A thread id no Python thread has (above the kernel's pid_max).
+    NATIVE = 2**31 - 1
+
+    def test_fake_task_table(self, registry, tmp_path):
+        main = threading.main_thread().native_id
+        _write_task(tmp_path, main, 100, 20, name="python main")
+        _write_task(tmp_path, self.NATIVE, 50, 10, name="blas) (pool")
+        assert task_cpu_ticks(tmp_path) == {main: 120, self.NATIVE: 60}
+        sampler = StackSampler(registry=registry)
+        sampler.task_dir = tmp_path
+        # Never started: counted since each thread began.
+        assert sampler.untracked_cpu_frac() == pytest.approx(60 / 180)
+
+        sampler.reset()  # the baseline moves to now
+        _write_task(tmp_path, main, 130, 30)
+        _write_task(tmp_path, self.NATIVE, 170, 50)
+        assert sampler.untracked_cpu_frac() == pytest.approx(160 / 200)
+        assert sampler.stats()["untracked_cpu_frac"] == pytest.approx(0.8)
+        sampler.publish()
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["prof.untracked_cpu_frac"] == pytest.approx(0.8)
+
+    def test_reused_thread_id_counts_from_zero(self, registry, tmp_path):
+        main = threading.main_thread().native_id
+        _write_task(tmp_path, main, 10, 0)
+        _write_task(tmp_path, self.NATIVE, 500, 0)
+        sampler = StackSampler(registry=registry)
+        sampler.task_dir = tmp_path
+        sampler.reset()
+        # The native thread exited and a new one took its id.
+        _write_task(tmp_path, main, 40, 0)
+        _write_task(tmp_path, self.NATIVE, 20, 0)
+        assert sampler.untracked_cpu_frac() == pytest.approx(0.0)
+
+    def test_no_procfs_is_absent(self, registry, tmp_path):
+        sampler = StackSampler(registry=registry)
+        sampler.task_dir = tmp_path / "missing"
+        assert task_cpu_ticks(sampler.task_dir) is None
+        assert sampler.untracked_cpu_frac() is None
+        assert "untracked_cpu_frac" not in sampler.stats()
+        sampler.publish()
+        assert "prof.untracked_cpu_frac" not in registry.snapshot()["gauges"]
+
+    def test_live_process_fraction_is_a_share(self, registry):
+        sampler = StackSampler(registry=registry)
+        if task_cpu_ticks(sampler.task_dir) is None:
+            pytest.skip("no per-thread procfs on this platform")
+        sampler.start()
+        try:
+            with BusyWorker():
+                time.sleep(0.05)
+        finally:
+            sampler.stop()
+        assert 0.0 <= sampler.stats()["untracked_cpu_frac"] <= 1.0
 
 
 class TestHeapProfiler:
