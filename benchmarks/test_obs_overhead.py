@@ -91,8 +91,10 @@ def test_monitor_overhead():
 
     ``overhead_frac`` compares the monitored bench (0.01 head sampling
     + tail retention + alerts + flight recorder) against the bench as
-    shipped (full tracing); ``vs_untraced_frac`` against the
-    no-observability floor is recorded for transparency.
+    shipped (full tracing).  The same laps give the cost of tracing
+    itself (``trace_overhead_frac``, shipped vs untraced) and
+    ``vs_untraced_frac`` against the no-observability floor; both are
+    recorded for transparency, not gated.
     """
     from repro.obs.monitor import measure_monitor_overhead
 
@@ -114,6 +116,8 @@ def test_monitor_overhead():
             ["untraced", f"{result['untraced_wall_s']:.3f}"],
             ["monitored", f"{result['monitored_wall_s']:.3f}"],
             ["overhead vs default", f"{result['overhead_frac'] * 100:.2f}%"],
+            ["tracing vs untraced",
+             f"{result['trace_overhead_frac'] * 100:.2f}%"],
             ["vs untraced", f"{result['vs_untraced_frac'] * 100:.2f}%"],
         ],
     )

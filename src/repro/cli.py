@@ -11,12 +11,13 @@ terminal::
     repro fig3-models       # classifier study (Fig. 3; slow)
     repro stats             # end-to-end workload + metrics/SLO report
     repro chaos             # end-to-end workload under fault injection
-    repro serve-bench       # multi-session serving runtime benchmark
-    repro adaptive-bench    # tier-ladder degradation under surge/battery
     repro trace             # per-request trace capture (Perfetto JSON)
     repro monitor           # surge chaos plan under burn-rate alerting
+    repro profile           # serve workload under the continuous profiler
     repro daemon            # network serving daemon (TCP ingest + admin)
-    repro daemon-bench      # real-socket load generator against the daemon
+
+Serving capacity and latency are measured by ``perfbench/``
+(``python3 perfbench/run.py``), not by a subcommand here.
 """
 
 from __future__ import annotations
@@ -333,143 +334,6 @@ def _trace(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
-def _serve_bench(args: argparse.Namespace) -> None:
-    import json
-    from pathlib import Path
-
-    from repro.serve.bench import run_serve_bench, run_serve_grid
-
-    if args.full:
-        payload = run_serve_grid(seconds=args.seconds, seed=args.seed)
-        cells = []
-        for sessions, row in payload["grid"].items():
-            for batch, cell in row["batched"].items():
-                cells.append((sessions, batch, row["sequential"], cell))
-        print(f"{'sessions':>8} {'batch':>5} {'seq win/s':>10} "
-              f"{'served win/s':>12} {'speedup':>8} {'hit rate':>8}")
-        for sessions, batch, seq, cell in cells:
-            served = cell["served"]
-            print(f"{sessions:>8} {batch:>5} {seq['windows_per_s']:>10.0f} "
-                  f"{served['windows_per_s']:>12.0f} {cell['speedup']:>7.2f}x "
-                  f"{served['cache_hit_rate'] * 100:>7.1f}%")
-        dropped = sum(
-            cell["accounting"]["dropped"] for _, _, _, cell in cells
-        )
-        shed = sum(cell["accounting"]["shed"] for _, _, _, cell in cells)
-        parity = payload["parity"]
-    else:
-        from repro.obs import get_registry
-        from repro.serve.bench import measure_trace_overhead, train_bench_pipeline
-
-        get_registry().reset()
-        pipeline = train_bench_pipeline(seed=args.seed)
-        payload = run_serve_bench(
-            sessions=args.sessions, seconds=args.seconds, seed=args.seed,
-            max_batch=args.batch, pipeline=pipeline,
-        )
-        if not args.no_trace_overhead:
-            payload["trace_overhead"] = measure_trace_overhead(
-                pipeline, sessions=args.sessions, seconds=args.seconds,
-                seed=args.seed, max_batch=args.batch,
-            )
-        served = payload["served"]
-        seq = payload["sequential"]
-        acct = payload["accounting"]
-        print(f"== serve-bench ({args.sessions} sessions, "
-              f"{args.seconds:g} s, batch {args.batch}) ==")
-        print(f"sequential: {seq['windows_per_s']:.0f} windows/s "
-              f"({seq['windows']} windows in {seq['wall_s'] * 1e3:.0f} ms)")
-        print(f"served:     {served['windows_per_s']:.0f} windows/s "
-              f"({payload['speedup']:.2f}x), cache hit rate "
-              f"{served['cache_hit_rate'] * 100:.1f}%, "
-              f"mean batch {served['mean_batch']:.1f}")
-        lat = served["latency_s"]
-        print(f"latency (workload s): p50={lat['p50']:.3f} "
-              f"p95={lat['p95']:.3f} p99={lat['p99']:.3f}")
-        stages = served.get("stages", {})
-        for stage in sorted(stages):
-            s = stages[stage]
-            print(f"stage {stage:<10} n={s['count']:<6,.0f} "
-                  f"mean={s['mean'] * 1e3:.3f} ms p95={s['p95'] * 1e3:.3f} ms")
-        overhead = payload.get("trace_overhead")
-        if overhead:
-            print(f"trace overhead: {overhead['overhead_frac'] * 100:+.2f}% "
-                  f"(on {overhead['tracing_on_wall_s'] * 1e3:.0f} ms vs "
-                  f"off {overhead['tracing_off_wall_s'] * 1e3:.0f} ms, "
-                  f"best of {overhead['repeats']})")
-        print(f"accounting: {acct['submitted']} submitted = "
-              f"{acct['completed']} completed + {acct['shed']} shed "
-              f"({acct['dropped']} dropped)")
-        dropped = acct["dropped"]
-        shed = acct["shed"]
-        parity = payload["parity"]
-    print(f"parity: dsp batch-vs-single "
-          f"{'ok' if parity['dsp_batch_vs_single_ok'] else 'FAIL'} "
-          f"(max |diff| {parity['dsp_max_abs_diff']:.2e}), "
-          f"int8-vs-float labels "
-          f"{'ok' if parity['int8_vs_float_ok'] else 'FAIL'} "
-          f"(agreement {parity['int8_label_agreement'] * 100:.1f}%)")
-    path = Path(args.output or "BENCH_serve.json")
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-    if shed:
-        print(f"note: {shed} requests shed to degraded results (expected "
-              "under overload; never silently dropped)")
-    if dropped or not parity["ok"]:
-        # The serving contract: every window completes or sheds
-        # explicitly, and the batched int8 path answers like the
-        # reference float single-window path.
-        raise SystemExit(1)
-
-
-def _adaptive_bench(args: argparse.Namespace) -> None:
-    import json
-    from pathlib import Path
-
-    from repro.obs import get_registry
-    from repro.serve.adaptive_bench import run_adaptive_bench
-
-    get_registry().reset()
-    payload = run_adaptive_bench(
-        seed=args.seed, sessions=args.sessions, seconds=args.seconds,
-    )
-    gates = payload["gates"]
-    base, adapt = payload["baseline"], payload["adaptive"]
-    print(f"== adaptive-bench ({args.sessions} sessions, "
-          f"{args.seconds:g} s, surge x{payload['config']['surge_scale']:g}) ==")
-    print(f"ladder: {' -> '.join(payload['config']['ladder'])}")
-    print(f"baseline: shed {base['shed']}/{base['windows']} "
-          f"({gates['baseline_shed_frac'] * 100:.1f}%), "
-          f"p95 {base['latency_s']['p95']:.3f} s")
-    print(f"adaptive: shed {adapt['shed']}/{adapt['windows']} "
-          f"({gates['adaptive_shed_frac'] * 100:.2f}%), absorbed "
-          f"{adapt['absorbed']}, p95 {gates['adaptive_p95_s']:.3f} s "
-          f"(SLO {gates['latency_slo_s']:g} s)")
-    print(f"accuracy: adaptive {gates['adaptive_accuracy'] * 100:.1f}% vs "
-          f"always-neutral {gates['neutral_accuracy'] * 100:.1f}%")
-    print(f"tier mix: {adapt['tier_mix']}")
-    print(f"ladder moves: {adapt['adaptive']['demotions']} down, "
-          f"{adapt['adaptive']['promotions']} up; "
-          f"{adapt['sessions_at_top_after']} sessions back at "
-          f"{adapt['top_tier']} after the surge")
-    print(f"{'scale':>6} {'battery':>8} {'accuracy':>9} {'win/s':>8} "
-          f"{'shed':>6} {'p95 s':>6} {'energy':>8}")
-    for row in payload["frontier"]:
-        print(f"{row['surge_scale']:>6g} {row['battery_fraction']:>8.2f} "
-              f"{row['accuracy'] * 100:>8.1f}% {row['windows_per_s']:>8.0f} "
-              f"{row['shed_frac'] * 100:>5.1f}% {row['p95_s']:>6.3f} "
-              f"{row['energy_drained']:>8.1f}")
-    print(f"gates ok: {gates['ok']}")
-    path = Path(args.output or "BENCH_adaptive.json")
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-    if not gates["ok"]:
-        # The degradation contract: a surge lethal to the binary runtime
-        # must be absorbed — not shed — by the ladder, inside the SLO,
-        # without answering worse than the always-neutral strawman.
-        raise SystemExit(1)
-
-
 def _monitor(args: argparse.Namespace) -> None:
     import json
     from pathlib import Path
@@ -607,64 +471,6 @@ def _daemon(args: argparse.Namespace) -> None:
         print("daemon stopped")
 
 
-def _daemon_bench(args: argparse.Namespace) -> None:
-    import json
-    from pathlib import Path
-
-    from repro.daemon.bench import run_daemon_bench
-    from repro.obs import get_registry
-
-    def _hostport(value: str | None) -> tuple[str, int] | None:
-        if value is None:
-            return None
-        host, _, port = value.rpartition(":")
-        return (host or "127.0.0.1", int(port))
-
-    get_registry().reset()
-    payload = run_daemon_bench(
-        sessions=args.sessions, seconds=args.seconds, seed=args.seed,
-        chaos_sessions=args.chaos_sessions,
-        max_inflight=args.max_inflight, max_batch=args.batch,
-        bundle_dir=args.bundle_dir,
-        connect=_hostport(args.connect), admin=_hostport(args.admin),
-    )
-    traffic = payload["traffic"]
-    chaos = payload["chaos"]
-    preempt = payload["preemption"]
-    gates = payload["gates"]
-    rtt = traffic["rtt_s"]
-    print(f"== daemon-bench ({args.sessions} sessions, {args.seconds:g} s, "
-          f"{payload['config']['mode']} mode) ==")
-    print(f"traffic: {traffic['windows_sent']} windows sent, "
-          f"{traffic['replies']} replies ({traffic['windows_per_s']:.0f} "
-          f"windows/s), {traffic['silent_drops']} silent drops")
-    print(f"rtt: p50={rtt['p50'] * 1e3:.1f} ms p95={rtt['p95'] * 1e3:.1f} ms "
-          f"p99={rtt['p99'] * 1e3:.1f} ms")
-    print(f"outcomes: {traffic['outcomes']} "
-          f"(shed {traffic['shed_frac'] * 100:.2f}%)")
-    print(f"concurrency: peak {traffic['peak_concurrent']}, sustained "
-          f"{traffic['sustained_sessions']}/"
-          f"{args.sessions - args.chaos_sessions} clean sessions")
-    print(f"chaos: {chaos['aborted']} aborted mid-stream, "
-          f"{len(chaos['leaked_sessions'])} leaked sessions, "
-          f"{len(chaos['leaked_routes'])} leaked routes")
-    print(f"preemption: {preempt['preempted_frames']}/{preempt['extra']} "
-          f"explicit preempted frames past capacity "
-          f"({preempt['daemon_preemptions']} total)")
-    print(f"admin: healthz {payload['admin']['healthz_status']}, "
-          f"metrics {payload['admin']['metrics_status']} "
-          f"({payload['admin']['metrics_bytes']} bytes)")
-    print(f"gates ok: {gates['ok']}")
-    path = Path(args.output or "BENCH_daemon.json")
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-    if not gates["ok"]:
-        # The daemon contract: every window over the wire gets a reply
-        # or an explicit preemption, chaos disconnects reap their
-        # sessions, and the admin plane answers under load.
-        raise SystemExit(1)
-
-
 def _export_trace(args: argparse.Namespace) -> None:
     from repro.core.appstudy import run_case_study
 
@@ -686,13 +492,10 @@ _COMMANDS = {
     "export-trace": _export_trace,
     "stats": _stats,
     "chaos": _chaos,
-    "serve-bench": _serve_bench,
-    "adaptive-bench": _adaptive_bench,
     "trace": _trace,
     "monitor": _monitor,
     "profile": _profile,
     "daemon": _daemon,
-    "daemon-bench": _daemon_bench,
 }
 
 
@@ -746,10 +549,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also write the trace's spans as JSONL to this path",
     )
     parser.add_argument(
-        "--no-trace-overhead", action="store_true",
-        help="serve-bench: skip the tracing-on vs tracing-off overhead arm",
-    )
-    parser.add_argument(
         "--fault-rate", type=float, default=0.2,
         help="per-kind fault probability for chaos (default 0.2)",
     )
@@ -765,21 +564,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--sessions", type=int, default=None,
-        help="concurrent synthetic sessions (default 16 for serve-bench/"
-             "trace, 64 for chaos surge plans, 96 for adaptive-bench)",
+        help="concurrent synthetic sessions (default 16 for trace/"
+             "profile, 64 for chaos surge plans and monitor)",
     )
     parser.add_argument(
         "--seconds", type=float, default=None,
-        help="workload seconds per run (default 4 for serve-bench/trace, "
-             "10 for chaos surge plans, 12 for adaptive-bench)",
+        help="workload seconds per run (default 4 for trace/profile, "
+             "10 for chaos surge plans, 12 for monitor)",
     )
     parser.add_argument(
         "--batch", type=int, default=32,
-        help="serve-bench micro-batch size (default 32)",
-    )
-    parser.add_argument(
-        "--full", action="store_true",
-        help="serve-bench: sweep the batch-size x session-count grid",
+        help="micro-batch size for trace, profile and daemon (default 32)",
     )
     parser.add_argument(
         "--host", type=str, default="127.0.0.1",
@@ -801,37 +596,19 @@ def main(argv: list[str] | None = None) -> int:
         "--max-inflight", type=int, default=8,
         help="daemon: per-session in-flight window cap (default 8)",
     )
-    parser.add_argument(
-        "--chaos-sessions", type=int, default=None,
-        help="daemon-bench: clients that abort mid-stream "
-             "(default sessions // 8)",
-    )
-    parser.add_argument(
-        "--connect", type=str, default=None,
-        help="daemon-bench: drive an external daemon at HOST:PORT "
-             "instead of spawning one in-process",
-    )
-    parser.add_argument(
-        "--admin", type=str, default=None,
-        help="daemon-bench: the external daemon's admin plane HOST:PORT",
-    )
     args = parser.parse_args(argv)
-    # Workload-size defaults differ per experiment: the serve bench and
-    # trace smoke want seconds-long smoke runs, while the adaptive bench
-    # and the surge chaos plans need a surge big enough for their gates
-    # (a lethal baseline shed, visible recovery) to be meaningful.
+    # Workload-size defaults differ per experiment: the trace and profile
+    # smokes want seconds-long runs, while monitor and the surge chaos
+    # plans need a surge big enough for their gates (a lethal baseline
+    # shed, visible recovery) to be meaningful.
     surge_chaos = args.experiment == "chaos" and args.plan != "uniform"
     if args.experiment == "monitor" and args.plan == "uniform":
         args.plan = "surge"  # monitor only runs the serve-layer plans
     if args.sessions is None:
-        args.sessions = (96 if args.experiment == "adaptive-bench"
-                         else 64 if surge_chaos or args.experiment
-                         in ("monitor", "daemon-bench")
+        args.sessions = (64 if surge_chaos or args.experiment == "monitor"
                          else 16)
-    if args.chaos_sessions is None:
-        args.chaos_sessions = args.sessions // 8
     if args.seconds is None:
-        args.seconds = (12.0 if args.experiment in ("adaptive-bench", "monitor")
+        args.seconds = (12.0 if args.experiment == "monitor"
                         else 10.0 if surge_chaos else 4.0)
     if args.sample_rate is None:
         args.sample_rate = 0.01 if args.experiment == "monitor" else 1.0

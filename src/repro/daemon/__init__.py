@@ -6,9 +6,12 @@ third-party dependencies: a newline-delimited JSON TCP ingest protocol
 (:mod:`repro.daemon.protocol`), an asyncio server with admission gates
 and LRU session preemption (:mod:`repro.daemon.server`), a hand-rolled
 HTTP admin plane serving ``/healthz`` / ``/metrics`` /
-``/bundles/<id>`` (:mod:`repro.daemon.admin`), and a real-socket load
-generator with a chaos arm (:mod:`repro.daemon.bench`,
-``repro daemon-bench``).
+``/bundles/<id>`` (:mod:`repro.daemon.admin`).
+
+Load, latency and capacity of the daemon over real sockets are measured
+by ``perfbench/`` (its ``wire_fresh`` workload); the socket-level gates
+(one reply per window, chaos aborts reaped, LRU preemption, admin plane
+under load) are held by ``tests/test_daemon.py``.
 """
 
 from repro.daemon.protocol import (
@@ -39,19 +42,14 @@ __all__ = [
     "window_frame",
     "DaemonConfig",
     "ReproDaemon",
-    "run_daemon_bench",
 ]
 
 
 def __getattr__(name: str):
-    # Server/bench pull in the serve stack (numpy-heavy); keep the
-    # protocol importable without them.
+    # The server pulls in the serve stack (numpy-heavy); keep the
+    # protocol importable without it.
     if name in ("DaemonConfig", "ReproDaemon"):
         from repro.daemon import server
 
         return getattr(server, name)
-    if name == "run_daemon_bench":
-        from repro.daemon.bench import run_daemon_bench
-
-        return run_daemon_bench
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

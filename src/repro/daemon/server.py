@@ -66,6 +66,19 @@ from repro.obs.prof import (
 )
 from repro.serve.runtime import AffectServer, ServeResult
 
+#: Per-connection bound on reply bytes waiting in the transport for a
+#: client that is not reading.  A reply that would take the buffer past
+#: it is not queued: the connection gets one explicit ``error`` frame
+#: instead and is closed, reaping its session.  A client that reads its
+#: replies never comes near it (``max_inflight`` result frames are a few
+#: kB).
+MAX_REPLY_BUFFER_BYTES = 256 * 1024
+_REPLY_OVERFLOW_FRAME = protocol.encode_frame({
+    "type": "error",
+    "error": f"reply buffer over {MAX_REPLY_BUFFER_BYTES} bytes: "
+             "client is not reading its replies",
+})
+
 
 @dataclass(frozen=True)
 class DaemonConfig:
@@ -156,6 +169,7 @@ class ReproDaemon:
         self.daemon_shed = 0
         self.unroutable = 0
         self.protocol_errors = 0
+        self.reply_overflows = 0
         if self.config.monitor:
             self.manager, self.recorder = make_monitor(
                 bundle_dir=self.config.bundle_dir
@@ -282,6 +296,7 @@ class ReproDaemon:
             "daemon_shed": self.daemon_shed,
             "unroutable": self.unroutable,
             "protocol_errors": self.protocol_errors,
+            "reply_overflows": self.reply_overflows,
             "max_connections": self.config.max_connections,
             "max_inflight": self.config.max_inflight,
             "blas_threads": self.server.blas_threads,
@@ -324,7 +339,7 @@ class ReproDaemon:
             obs.set_gauge("daemon.connections", len(self._routes))
             while True:
                 frame = await next_frame()
-                if frame is None:
+                if frame is None or conn.closing:
                     return
                 if await self._handle_frame(conn, frame):
                     reason = "bye"
@@ -489,13 +504,27 @@ class ReproDaemon:
     def _send(self, conn: _Connection, frame: dict) -> None:
         if conn.closing:
             return
-        self._send_to(conn.writer, frame)
+        data = protocol.encode_frame(frame, self.config.max_frame_bytes)
+        buffered = conn.writer.transport.get_write_buffer_size()
+        if (buffered + len(data) + len(_REPLY_OVERFLOW_FRAME)
+                > MAX_REPLY_BUFFER_BYTES):
+            # Bounded reply memory: a client that stops reading is told
+            # why and closed, not buffered for without limit.
+            self.reply_overflows += 1
+            get_registry().inc("daemon.reply_overflows")
+            self._write(conn.writer, _REPLY_OVERFLOW_FRAME)
+            self._close_conn(conn, reason="reply_overflow")
+            return
+        self._write(conn.writer, data)
 
     def _send_to(self, writer: asyncio.StreamWriter, frame: dict) -> None:
+        self._write(writer, protocol.encode_frame(
+            frame, self.config.max_frame_bytes
+        ))
+
+    def _write(self, writer: asyncio.StreamWriter, data: bytes) -> None:
         try:
-            writer.write(protocol.encode_frame(
-                frame, self.config.max_frame_bytes
-            ))
+            writer.write(data)
         except (ConnectionError, RuntimeError, OSError):
             pass
 

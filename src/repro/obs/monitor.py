@@ -239,45 +239,45 @@ def measure_monitor_overhead(
     max_batch: int = 32,
     repeats: int = 12,
 ) -> dict[str, float]:
-    """Wall-clock cost of full monitoring on the serve bench.
+    """Wall-clock cost of full monitoring and of tracing on the serve bench.
 
-    Three arms, measured with a **median-of-paired-ratios** protocol:
+    Three arms of :func:`~repro.serve.bench.run_serve_bench`, paired per
+    lap by :func:`~repro.serve.bench.interleaved_laps` (warm-up lap
+    discarded, arm order rotated every lap):
 
     - ``default`` — the serve bench exactly as shipped: full tracing
-      (sample rate 1.0), no alerting.  This is what every other bench
-      number in the repo is measured against, and what a user runs
-      before switching ``repro monitor`` on.
+      (sample rate 1.0), no alerting.  This is what a user runs before
+      switching ``repro monitor`` on.
     - ``untraced`` — tracing fully off (rate 0.0, no retention).  The
-      floor; reported for transparency, not gated.
+      no-observability floor.
     - ``monitored`` — everything ``repro monitor`` attaches: head
       sampling dialed down to 0.01 with tail retention (every window
       still mints a provisional root so SLO violations keep their
       evidence), per-tick alert evaluation, and flight-recorder
       snapshots.
 
-    Why paired medians and not best-of-N per arm: on a shared (often
-    single-core) host the bench wall time drifts by several percent
-    over the minutes a measurement takes, which is the same order as
-    the effect being measured.  Taking the min of each arm
-    independently compares one arm's luckiest slice of host time
-    against another's — a single outlier run swings the verdict.
-    Instead each iteration runs all three arms **back to back** (so
-    they see the same slice of host drift), the arm order rotates every
-    iteration (so no arm systematically enjoys the warmed caches of
-    going second), and the per-iteration ratio ``monitored/default`` is
-    what gets aggregated.  The median of those ratios discards outlier
-    iterations entirely rather than letting them set the result.
+    Each figure is the **median of per-lap ratios** minus one, so an
+    outlier lap is discarded rather than setting the result; on a
+    shared host the bench wall drifts by several percent over the
+    minutes a measurement takes, the same order as the effect.
 
-    The gated figure, ``overhead_frac = median(monitored_i/default_i)
-    - 1``, is the marginal cost of turning monitoring on — and it is
-    normally around zero or *negative*: tail-based retention replaces
-    ~99% of span traffic with provisional roots, which buys back what
-    the alert engine and recorder spend.  ``vs_untraced_frac`` records
-    how far the monitored bench sits above the no-observability floor.
-    The acceptance bound is ``overhead_frac < 0.02``.
+    - ``overhead_frac = median(monitored/default) - 1`` is the gated
+      figure (< 0.02): the marginal cost of turning monitoring on.  It
+      is normally around zero or *negative*: tail-based retention
+      replaces ~99% of span traffic with provisional roots, which buys
+      back what the alert engine and recorder spend.
+    - ``trace_overhead_frac = median(default/untraced) - 1`` is the cost
+      of tracing every request (recorded, not gated).
+    - ``vs_untraced_frac = median(monitored/untraced) - 1`` is how far
+      the monitored bench sits above the floor (recorded, not gated).
     """
     import statistics
-    from repro.serve.bench import run_serve_bench, train_bench_pipeline
+
+    from repro.serve.bench import (
+        interleaved_laps,
+        run_serve_bench,
+        train_bench_pipeline,
+    )
 
     if pipeline is None:
         pipeline = train_bench_pipeline(seed=seed)
@@ -304,43 +304,31 @@ def measure_monitor_overhead(
             tracer.configure(sample_rate=0.0, seed=seed, retention=None)
         report = run_serve_bench(
             sessions=sessions, seconds=seconds, seed=seed,
-            max_batch=max_batch, pipeline=pipeline, baseline=False,
-            parity=False, on_tick=on_tick,
+            max_batch=max_batch, pipeline=pipeline, on_tick=on_tick,
         )
         return float(report["served"]["wall_s"])  # type: ignore[index]
 
-    arms = ("default", "untraced", "monitored")
-    orders = (
-        ("default", "monitored", "untraced"),
-        ("monitored", "untraced", "default"),
-        ("untraced", "default", "monitored"),
-    )
-    best = dict.fromkeys(arms, float("inf"))
-    vs_default: list[float] = []
-    vs_untraced: list[float] = []
     try:
-        for arm in arms:  # warm-up lap, discarded
-            one_run(arm)
-        for i in range(repeats):
-            walls: dict[str, float] = {}
-            for arm in orders[i % len(orders)]:
-                wall = one_run(arm)
-                walls[arm] = wall
-                best[arm] = min(best[arm], wall)
-            vs_default.append(walls["monitored"] / walls["default"])
-            vs_untraced.append(walls["monitored"] / walls["untraced"])
+        laps = interleaved_laps(
+            one_run, ("default", "monitored", "untraced"), repeats,
+        )
     finally:
         tracer.configure(sample_rate=previous_rate,
                          retention=previous_retention)
         tracer.clear()
         registry.reset()
+
+    def median_ratio(arm: str, base: str) -> float:
+        return statistics.median(lap[arm] / lap[base] for lap in laps) - 1.0
+
     return {
         "sessions": sessions,
         "seconds": seconds,
         "repeats": repeats,
-        "default_wall_s": best["default"],
-        "untraced_wall_s": best["untraced"],
-        "monitored_wall_s": best["monitored"],
-        "overhead_frac": statistics.median(vs_default) - 1.0,
-        "vs_untraced_frac": statistics.median(vs_untraced) - 1.0,
+        "default_wall_s": min(lap["default"] for lap in laps),
+        "untraced_wall_s": min(lap["untraced"] for lap in laps),
+        "monitored_wall_s": min(lap["monitored"] for lap in laps),
+        "overhead_frac": median_ratio("monitored", "default"),
+        "trace_overhead_frac": median_ratio("default", "untraced"),
+        "vs_untraced_frac": median_ratio("monitored", "untraced"),
     }

@@ -6,8 +6,8 @@ the paper's resource-management loop (and the ROADMAP's sharding and
 hot-path items) need before any partitioning decision.  Everything is
 pure stdlib and follows the repo's observability rules: bounded state,
 one lock per component, cheap when off, and a hard budget on its own
-cost (<2% serve-bench overhead at the default sampling rate, gated in
-``BENCH_obs.json``).
+cost (<2% of the serve bench at the default sampling rate, gated in
+``benchmarks/test_obs_overhead.py``).
 
 Three cooperating pieces:
 
@@ -68,7 +68,7 @@ from repro.obs.trace import current_stage_of
 
 #: Default sampling interval: 100 Hz.  At this rate one sampling pass
 #: (a dict walk plus a few dozen cached label lookups) costs well under
-#: the <2% serve-bench budget; see ``BENCH_obs.json``'s ``profile``
+#: the <2% serve bench budget; see ``BENCH_obs.json``'s ``profile``
 #: section for the measured figure.
 DEFAULT_INTERVAL_S = 0.01
 
@@ -883,7 +883,6 @@ def run_profile_workload(
         report = run_serve_bench(
             sessions=sessions, seconds=seconds, seed=seed,
             max_batch=max_batch, pipeline=pipeline,
-            baseline=False, parity=False,
         )
     finally:
         _trace.pop_thread_stage()
@@ -932,10 +931,10 @@ def measure_profile_overhead(
 ) -> dict[str, float]:
     """Cost of the default profiler on the serve bench, two ways.
 
-    Two arms run back to back per iteration with rotating order after a
-    discarded warm-up lap (the protocol of
-    :func:`repro.obs.monitor.measure_monitor_overhead`; each arm's
-    figure per iteration sums ``inner`` bench walls for extra signal):
+    Two arms paired per lap by :func:`~repro.serve.bench.interleaved_laps`
+    (warm-up lap discarded, arm order rotated every lap — the loop
+    :func:`repro.obs.monitor.measure_monitor_overhead` shares; each
+    arm's figure per lap sums ``inner`` bench walls for extra signal):
 
     - ``default`` — the serve bench exactly as shipped;
     - ``profiled`` — a :class:`StackSampler` at the default 100 Hz
@@ -959,7 +958,11 @@ def measure_profile_overhead(
     """
     import statistics
 
-    from repro.serve.bench import run_serve_bench, train_bench_pipeline
+    from repro.serve.bench import (
+        interleaved_laps,
+        run_serve_bench,
+        train_bench_pipeline,
+    )
 
     if pipeline is None:
         pipeline = train_bench_pipeline(seed=seed)
@@ -984,8 +987,7 @@ def measure_profile_overhead(
             try:
                 report = run_serve_bench(
                     sessions=sessions, seconds=seconds, seed=seed,
-                    max_batch=max_batch, pipeline=pipeline, baseline=False,
-                    parity=False,
+                    max_batch=max_batch, pipeline=pipeline,
                 )
             finally:
                 if sampler is not None:
@@ -998,20 +1000,8 @@ def measure_profile_overhead(
             wall += float(report["served"]["wall_s"])  # type: ignore[index]
         return wall
 
-    arms = ("default", "profiled")
-    orders = (("default", "profiled"), ("profiled", "default"))
-    best = dict.fromkeys(arms, float("inf"))
-    ratios: list[float] = []
     try:
-        for arm in arms:  # warm-up lap, discarded
-            one_run(arm)
-        for i in range(repeats):
-            walls: dict[str, float] = {}
-            for arm in orders[i % len(orders)]:
-                wall = one_run(arm)
-                walls[arm] = wall
-                best[arm] = min(best[arm], wall)
-            ratios.append(walls["profiled"] / walls["default"])
+        laps = interleaved_laps(one_run, ("default", "profiled"), repeats)
     finally:
         tracer.configure(sample_rate=previous_rate,
                          retention=previous_retention)
@@ -1024,8 +1014,8 @@ def measure_profile_overhead(
         "repeats": repeats,
         "inner": inner,
         "interval_s": DEFAULT_INTERVAL_S,
-        "default_wall_s": best["default"],
-        "profiled_wall_s": best["profiled"],
+        "default_wall_s": min(lap["default"] for lap in laps),
+        "profiled_wall_s": min(lap["profiled"] for lap in laps),
         # Gated: self-accounted sampling share of the profiled runtime.
         "overhead_frac": (accounted["sampling_s"] / attached_s
                           if attached_s > 0 else 0.0),
@@ -1034,6 +1024,7 @@ def measure_profile_overhead(
         "samples_total": float(accounted["samples"]),
         # Recorded, not gated: A/B wall medians drown in scheduler
         # noise on small shared boxes (see docstring).
-        "overhead_frac_ab": statistics.median(ratios) - 1.0,
+        "overhead_frac_ab": statistics.median(
+            lap["profiled"] / lap["default"] for lap in laps) - 1.0,
         "samples_last_run": float(last_stats.get("samples", 0)),
     }

@@ -295,12 +295,12 @@ def surge_plan_fixtures(
     # Serve imports stay lazy: resilience is a dependency of the serve
     # package, so importing it back at module level would be a cycle.
     from repro.serve.adaptive import ladder_from_pipeline
-    from repro.serve.adaptive_bench import (
-        POOL_SIZE,
+    from repro.serve.adaptive_bench import POOL_SIZE
+    from repro.serve.bench import (
         make_surge_events,
         make_truth_pool,
+        train_bench_pipeline,
     )
-    from repro.serve.bench import train_bench_pipeline
 
     pipeline = train_bench_pipeline(seed=seed)
     ladder = ladder_from_pipeline(pipeline)
@@ -340,7 +340,8 @@ def run_surge_workload(
 
     Uses the fast single-architecture ladder
     (:func:`~repro.serve.adaptive.ladder_from_pipeline`); the full
-    two-architecture ladder lives in ``repro adaptive-bench``.
+    two-architecture ladder's surge gates live in
+    ``tests/test_adaptive_surge.py``.
     """
     from repro.serve.adaptive import AdaptiveController
     from repro.serve.adaptive_bench import bench_adaptive_config, run_surge_arm

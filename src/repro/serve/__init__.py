@@ -18,11 +18,13 @@ ROADMAP's scaling north star):
   degradation control plane: a per-session model-tier ladder
   (LSTM → int8 → MLP int8 → cached/neutral) walked from queue pressure,
   SLO burn, and per-session battery budgets;
-- :func:`~repro.serve.bench.run_serve_bench` — the workload behind
-  ``repro serve-bench`` and ``BENCH_serve.json``;
-- :func:`~repro.serve.adaptive_bench.run_adaptive_bench` — the surge /
-  battery frontier behind ``repro adaptive-bench`` and
-  ``BENCH_adaptive.json``.
+- :func:`~repro.serve.bench.run_serve_bench` — the in-process workload
+  behind ``repro trace``, ``repro profile`` and the overhead gates;
+- :func:`~repro.serve.adaptive_bench.run_surge_arm` — one diurnal surge
+  through the runtime, behind ``repro chaos --plan surge``,
+  ``repro monitor`` and the surge gates.
+
+Capacity and latency of record come from ``perfbench/``.
 
 See DESIGN.md §8 for the architecture and overload semantics, §10 for
 the adaptive tier ladder.
@@ -36,9 +38,9 @@ from repro.serve.adaptive import (
     build_default_ladder,
     ladder_from_pipeline,
 )
-from repro.serve.adaptive_bench import run_adaptive_bench, run_surge_arm
+from repro.serve.adaptive_bench import run_surge_arm
 from repro.serve.batcher import BatchRequest, BatchResult, MicroBatcher
-from repro.serve.bench import run_serve_bench, run_serve_grid
+from repro.serve.bench import run_serve_bench
 from repro.serve.cache import CacheEntry, LRUCache, window_hash
 from repro.serve.runtime import AffectServer, ServeConfig, ServeResult
 from repro.serve.sessions import Session, SessionManager
@@ -60,9 +62,7 @@ __all__ = [
     "TierSpec",
     "build_default_ladder",
     "ladder_from_pipeline",
-    "run_adaptive_bench",
     "run_serve_bench",
-    "run_serve_grid",
     "run_surge_arm",
     "window_hash",
 ]

@@ -1,22 +1,21 @@
-"""Adaptive-degradation benchmark: tier ladders under surge and drain.
+"""The surge arm: one diurnal load surge through one serve runtime.
 
-``repro adaptive-bench`` drives the same diurnal load surge
-(:func:`~repro.datasets.phone_usage.surge_schedule`) through two arms of
-the serve runtime:
+:func:`run_surge_arm` pumps a surge schedule
+(:func:`~repro.serve.bench.make_surge_events`) through a fresh
+:class:`~repro.serve.runtime.AffectServer` and scores every answer
+against the pool's ground truth.  Two arms make the degradation story:
 
-- **baseline** — the pre-adaptive binary runtime: full service until the
-  admission queue overflows, then shed-to-neutral;
+- **baseline** — no controller: full service until the admission queue
+  overflows, then shed-to-neutral;
 - **adaptive** — the tier-laddered runtime
-  (:class:`~repro.serve.adaptive.AdaptiveController`), which demotes
-  sessions toward cheaper rungs as the queue and SLO burn rise and lets
-  the terminal cached/neutral rung *absorb* what the baseline sheds.
+  (:class:`~repro.serve.adaptive.AdaptiveController`, tuned by
+  :func:`bench_adaptive_config`), which demotes sessions toward cheaper
+  rungs as the queue and SLO burn rise and lets the terminal
+  cached/neutral rung *absorb* what the baseline sheds.
 
-The headline acceptance gates: a surge that sheds ≥ 20% of windows on
-the baseline must shed < 2% on the adaptive arm while p95 latency stays
-inside the serve SLO, and no degraded tier may answer worse than the
-always-neutral strawman.  On top of the gates, a load × battery grid
-sweeps the accuracy / throughput / energy frontier into
-``BENCH_adaptive.json``.
+``repro chaos --plan surge``, ``repro monitor`` and the surge gates in
+``tests/test_adaptive_surge.py`` drive it; ``perfbench/``'s ``surge``
+workload builds its server from the constants below.
 """
 
 from __future__ import annotations
@@ -26,16 +25,9 @@ import time
 import numpy as np
 
 from repro.affect.pipeline import AffectClassifierPipeline
-from repro.datasets.phone_usage import surge_schedule
 from repro.obs import get_registry
-from repro.obs.slo import DEFAULT_SLOS
-from repro.serve.adaptive import (
-    AdaptiveConfig,
-    AdaptiveController,
-    TierLadder,
-    build_default_ladder,
-)
-from repro.serve.bench import _quantiles
+from repro.serve.adaptive import AdaptiveConfig, AdaptiveController
+from repro.serve.bench import quantiles
 from repro.serve.runtime import AffectServer, ServeConfig
 
 #: Distinct utterances in the surge pool — deliberately larger than the
@@ -57,95 +49,19 @@ POLL_PERIOD_S = 0.125
 #: top (LSTM float) tier spends most of a full charge.
 BATTERY_CAPACITY = 15.0
 
-#: The p95 objective the adaptive arm must hold during the surge.
-_LATENCY_SLO = next(o for o in DEFAULT_SLOS if o.name == "serve-p95-latency")
-
-
-def make_truth_pool(
-    label_names: tuple[str, ...], pool_size: int, seed: int,
-) -> tuple[list[np.ndarray], list[str]]:
-    """``pool_size`` synthetic utterances plus their ground-truth labels.
-
-    Window ``i`` is synthesized *from* label ``label_names[i % n]``, so
-    the pool carries its own truth — what lets the bench score every
-    served answer, including fallbacks.
-    """
-    from repro.datasets.speech import synthesize_utterance
-
-    truths = [label_names[i % len(label_names)] for i in range(pool_size)]
-    pool = [
-        synthesize_utterance(
-            truths[i], actor=i % 4, sentence=i % 3, take=i, seed=seed,
-        )
-        for i in range(pool_size)
-    ]
-    return pool, truths
-
-
-def make_surge_events(
-    sessions: int, seconds: float, seed: int, pool_size: int,
-    surge_scale: float,
-) -> list[tuple[float, str, int]]:
-    """Diurnal surge arrivals as ``(now, session_id, pool_index)``."""
-    rng = np.random.default_rng(seed + 1)
-    return [
-        (now, f"user-{s:04d}", int(rng.integers(pool_size)))
-        for now, s in surge_schedule(
-            sessions, seconds, seed=seed, surge_scale=surge_scale,
-        )
-    ]
-
-
-def tier_quality(
-    ladder: TierLadder,
-    pipeline: AffectClassifierPipeline,
-    pool: list[np.ndarray],
-    truths: list[str],
-    neutral_label: str = "neutral",
-) -> dict[str, object]:
-    """Per-tier accuracy over the pool, against the always-neutral strawman.
-
-    Every non-terminal rung classifies the full (DSP-prepared) pool; the
-    strawman answers ``neutral`` for everything.  The smoke gate requires
-    each rung to beat the strawman — a degradation ladder whose rungs are
-    no better than a constant answer is not degrading, it is broken.
-    """
-    clf = pipeline.classifier
-    assert clf is not None
-    rows = pipeline.prepare_waveforms(pool)
-    truth_array = np.array(truths)
-    neutral_accuracy = float(np.mean(truth_array == neutral_label))
-    tiers: dict[str, float] = {}
-    for spec in ladder.tiers:
-        if spec.terminal:
-            continue
-        labels = np.array([
-            clf.label_names[int(i)] for i in np.asarray(spec.predict_batch(rows))
-        ])
-        tiers[spec.name] = float(np.mean(labels == truth_array))
-    return {
-        "windows": len(pool),
-        "neutral_accuracy": neutral_accuracy,
-        "tier_accuracy": tiers,
-        "all_tiers_beat_neutral": all(
-            acc >= neutral_accuracy for acc in tiers.values()
-        ),
-    }
-
 
 def bench_adaptive_config(
     battery_fraction: float | None = None,
-    promote_dwell_s: float = 1.0,
 ) -> AdaptiveConfig:
-    """The controller tuning every bench arm shares.
+    """The controller tuning every surge arm shares.
 
-    ``promote_dwell_s`` is shortened from the serving default so the
+    The promotion dwell is shortened from the serving default so the
     post-surge *recovery* (promotions back up the ladder) is observable
     inside a seconds-long workload.  ``battery_fraction=None`` disables
     the battery axis.
     """
     return AdaptiveConfig(
-        promote_dwell_s=promote_dwell_s,
+        promote_dwell_s=1.0,
         battery_capacity=None if battery_fraction is None else BATTERY_CAPACITY,
         initial_battery_fraction=(
             1.0 if battery_fraction is None else battery_fraction
@@ -165,9 +81,9 @@ def run_surge_arm(
 ) -> dict[str, object]:
     """One arm: pump the surge schedule through a fresh server.
 
-    Shared verbatim between ``repro adaptive-bench``, the resilience
-    surge plan (``repro chaos --plan surge``), and the benchmark suite,
-    so "a surge" means exactly one thing across the repo.  Resets the
+    Shared verbatim between the resilience surge plan (``repro chaos
+    --plan surge``), ``repro monitor`` and the surge gates, so "a surge"
+    means exactly one thing across the repo.  Resets the
     process metrics registry (the controller's burn window reads it).
 
     ``on_tick(server, now)``, when given, runs once per poll tick after
@@ -225,7 +141,7 @@ def run_surge_arm(
         "absorbed": stats["absorbed"],
         "degraded": sum(1 for r in served if r.degraded),
         "accuracy": correct / windows if windows else 0.0,
-        "latency_s": _quantiles(latencies),
+        "latency_s": quantiles(latencies),
         "dropped": stats["dropped"],
         "sessions_created": stats["sessions_created"],
         "sessions_evicted": (
@@ -249,128 +165,3 @@ def run_surge_arm(
         )
         arm["top_tier"] = top
     return arm
-
-
-def run_adaptive_bench(
-    seed: int = 0,
-    sessions: int = 96,
-    seconds: float = 12.0,
-    surge_scale: float = 8.0,
-    battery_fractions: tuple[float, ...] = (1.0, 0.15, 0.05),
-    load_scales: tuple[float, ...] = (1.0, 4.0, 8.0),
-    pipeline: AffectClassifierPipeline | None = None,
-    ladder: TierLadder | None = None,
-) -> dict[str, object]:
-    """The full bench: headline gates plus the load × battery frontier.
-
-    Returns the ``BENCH_adaptive.json`` payload.  ``gates.ok`` is the CI
-    smoke contract:
-
-    - the surge is *lethal* to the baseline (≥ 20% of windows shed);
-    - the adaptive arm sheds < 2% of the identical schedule;
-    - its p95 latency honours the serve SLO;
-    - every ladder rung beats the always-neutral strawman's accuracy,
-      and so does the adaptive arm end to end;
-    - no windows dropped, no sessions lost, and the ladder recovered
-      (promotions happened once the surge passed).
-    """
-    if pipeline is None or ladder is None:
-        pipeline, ladder = build_default_ladder(seed=seed)
-    clf = pipeline.classifier
-    assert clf is not None
-    pool, truths = make_truth_pool(clf.label_names, POOL_SIZE, seed)
-    quality = tier_quality(ladder, pipeline, pool, truths)
-
-    def arm(scale: float, battery: float | None) -> dict[str, object]:
-        events = make_surge_events(sessions, seconds, seed, POOL_SIZE, scale)
-        controller = AdaptiveController(ladder, bench_adaptive_config(battery))
-        return run_surge_arm(pipeline, events, pool, truths, seconds,
-                             adaptive=controller)
-
-    headline_events = make_surge_events(
-        sessions, seconds, seed, POOL_SIZE, surge_scale
-    )
-    baseline = run_surge_arm(pipeline, headline_events, pool, truths, seconds)
-    adaptive = arm(surge_scale, None)
-
-    neutral_accuracy = float(quality["neutral_accuracy"])  # type: ignore[arg-type]
-    p95 = float(adaptive["latency_s"]["p95"])  # type: ignore[index]
-    gates = {
-        "baseline_shed_frac": baseline["shed_frac"],
-        "baseline_lethal": baseline["shed_frac"] >= 0.20,
-        "adaptive_shed_frac": adaptive["shed_frac"],
-        "adaptive_shed_ok": adaptive["shed_frac"] < 0.02,
-        "adaptive_p95_s": p95,
-        "latency_slo_s": _LATENCY_SLO.threshold,
-        "adaptive_p95_ok": p95 <= _LATENCY_SLO.threshold,
-        "neutral_accuracy": neutral_accuracy,
-        "adaptive_accuracy": adaptive["accuracy"],
-        "adaptive_accuracy_ok": adaptive["accuracy"] >= neutral_accuracy,
-        "tiers_beat_neutral": quality["all_tiers_beat_neutral"],
-        "no_drops": baseline["dropped"] == 0 and adaptive["dropped"] == 0,
-        "no_session_loss": adaptive["sessions_evicted"] == 0,
-        "recovered": (
-            adaptive["adaptive"]["promotions"] > 0  # type: ignore[index]
-            and adaptive["sessions_at_top_after"] > 0
-        ),
-    }
-    gates["ok"] = all(
-        bool(gates[k]) for k in (
-            "baseline_lethal", "adaptive_shed_ok", "adaptive_p95_ok",
-            "adaptive_accuracy_ok", "tiers_beat_neutral", "no_drops",
-            "no_session_loss", "recovered",
-        )
-    )
-
-    # The frontier: how accuracy, throughput, and energy trade as load
-    # rises and the battery budget falls.
-    frontier: list[dict[str, object]] = []
-    for scale in load_scales:
-        cell = adaptive if scale == surge_scale else arm(scale, None)
-        frontier.append(_frontier_row(cell, scale, battery_fraction=1.0))
-    for fraction in battery_fractions:
-        if fraction == 1.0:
-            continue  # full battery at headline load == the gates cell
-        frontier.append(_frontier_row(
-            arm(surge_scale, fraction), surge_scale, battery_fraction=fraction,
-        ))
-
-    return {
-        "config": {
-            "seed": seed,
-            "sessions": sessions,
-            "seconds": seconds,
-            "surge_scale": surge_scale,
-            "pool_size": POOL_SIZE,
-            "cache_capacity": CACHE_CAPACITY,
-            "max_batch": MAX_BATCH,
-            "max_queue": MAX_QUEUE,
-            "max_wait_s": MAX_WAIT_S,
-            "battery_capacity": BATTERY_CAPACITY,
-            "battery_fractions": list(battery_fractions),
-            "load_scales": list(load_scales),
-            "ladder": list(ladder.names),
-        },
-        "quality": quality,
-        "baseline": baseline,
-        "adaptive": adaptive,
-        "gates": gates,
-        "frontier": frontier,
-    }
-
-
-def _frontier_row(cell: dict[str, object], scale: float,
-                  battery_fraction: float) -> dict[str, object]:
-    """One frontier point: the axes a capacity-planning reader needs."""
-    return {
-        "surge_scale": scale,
-        "battery_fraction": battery_fraction,
-        "accuracy": cell["accuracy"],
-        "windows_per_s": cell["windows_per_s"],
-        "shed_frac": cell["shed_frac"],
-        "p95_s": cell["latency_s"]["p95"],  # type: ignore[index]
-        "energy_drained": cell["adaptive"]["energy_drained"],  # type: ignore[index]
-        "tier_mix": cell.get("tier_mix", {}),
-        "demotions": cell["adaptive"]["demotions"],  # type: ignore[index]
-        "promotions": cell["adaptive"]["promotions"],  # type: ignore[index]
-    }

@@ -1,35 +1,43 @@
-"""Serving benchmark: micro-batched runtime vs sequential classification.
+"""The in-process serving workload every bench, gate and profile drives.
 
-``repro serve-bench`` and ``benchmarks/test_serve_bench.py`` both run
-:func:`run_serve_bench`: drive N synthetic concurrent sessions through
-the :class:`~repro.serve.runtime.AffectServer` and through the naive
-baseline — a sequential ``classify_waveform`` loop over the *identical*
-window schedule — and compare wall-clock throughput (windows/sec).
+One module owns what "the serve workload" means across the repo:
 
-The synthetic workload models what multi-tenant traffic actually looks
-like: each session emits one window per period (with a per-session phase
-offset), and window *content* is drawn from a bounded pool of distinct
-utterances, so concurrent sessions frequently carry the same window —
-the redundancy that window-hash caching and in-batch coalescing exploit.
-Everything is seeded and scheduled on virtual workload time; only the
-throughput/latency measurements touch the wall clock.
+- :func:`train_bench_pipeline` — the small trained classifier;
+- :func:`make_truth_pool` — a bounded pool of synthetic utterances, each
+  synthesized *from* a known label, so every answer can be scored;
+- :func:`make_schedule` (steady arrivals) and :func:`make_surge_events`
+  (the diurnal surge) — seeded ``(now, session_id, pool_index)`` events;
+- :func:`run_serve_bench` — pump a schedule through one
+  :class:`~repro.serve.runtime.AffectServer` and account for every window;
+- :func:`interleaved_laps` — the paired-arm loop the observability
+  overhead gates share.
+
+``repro trace``, ``repro profile``, ``repro monitor``, ``repro chaos``
+and the overhead gates in ``benchmarks/test_obs_overhead.py`` all build
+on it.  The workload models multi-tenant traffic: each session emits one
+window per period (with a per-session phase offset), and window
+*content* is drawn from the pool, so concurrent sessions frequently
+carry the same window — the redundancy that window-hash caching and
+in-batch coalescing exploit.  Everything is scheduled on virtual
+workload time; only the measurements touch the wall clock.  Capacity
+and latency of record come from ``perfbench/``, not from here.
 """
 
 from __future__ import annotations
 
-import re
 import time
+from typing import Callable
 
 import numpy as np
 
 from repro.affect.pipeline import AffectClassifierPipeline
-from repro.obs import get_registry, get_tracer
+from repro.obs import get_tracer
 from repro.obs.trace import Span
 from repro.serve.runtime import AffectServer, ServeConfig
 
 #: Virtual seconds between one session's consecutive windows.
 WINDOW_PERIOD_S = 0.5
-#: Distinct utterances the synthetic traffic draws from.
+#: Distinct utterances the steady workload draws from.
 POOL_SIZE = 24
 
 
@@ -44,25 +52,32 @@ def train_bench_pipeline(seed: int = 0,
     return pipeline
 
 
-def _make_pool(label_names: tuple[str, ...], pool_size: int,
-               seed: int) -> list[np.ndarray]:
-    """``pool_size`` distinct utterances cycling over the label set."""
+def make_truth_pool(
+    label_names: tuple[str, ...], pool_size: int, seed: int,
+) -> tuple[list[np.ndarray], list[str]]:
+    """``pool_size`` synthetic utterances plus their ground-truth labels.
+
+    Window ``i`` is synthesized *from* label ``label_names[i % n]``, so
+    the pool carries its own truth — what lets a surge arm score every
+    served answer, including fallbacks.
+    """
     from repro.datasets.speech import synthesize_utterance
 
-    return [
+    truths = [label_names[i % len(label_names)] for i in range(pool_size)]
+    pool = [
         synthesize_utterance(
-            label_names[i % len(label_names)],
-            actor=i % 4, sentence=i % 3, take=i, seed=seed,
+            truths[i], actor=i % 4, sentence=i % 3, take=i, seed=seed,
         )
         for i in range(pool_size)
     ]
+    return pool, truths
 
 
-def _make_schedule(
+def make_schedule(
     sessions: int, seconds: float, seed: int, pool_size: int,
     period_s: float = WINDOW_PERIOD_S,
 ) -> list[tuple[float, str, int]]:
-    """Time-ordered ``(now, session_id, pool_index)`` arrival events."""
+    """Steady time-ordered ``(now, session_id, pool_index)`` arrivals."""
     rng = np.random.default_rng(seed)
     offsets = rng.uniform(0.0, period_s, size=sessions)
     events: list[tuple[float, str, int]] = []
@@ -77,27 +92,24 @@ def _make_schedule(
     return events
 
 
-#: Canonical labeled-series key for per-stage serve latencies.
-_STAGE_KEY = re.compile(r'^serve\.stage_s\{stage="(?P<stage>[^"]+)"\}$')
+def make_surge_events(
+    sessions: int, seconds: float, seed: int, pool_size: int,
+    surge_scale: float,
+) -> list[tuple[float, str, int]]:
+    """Diurnal surge arrivals as ``(now, session_id, pool_index)``."""
+    from repro.datasets.phone_usage import surge_schedule
+
+    rng = np.random.default_rng(seed + 1)
+    return [
+        (now, f"user-{s:04d}", int(rng.integers(pool_size)))
+        for now, s in surge_schedule(
+            sessions, seconds, seed=seed, surge_scale=surge_scale,
+        )
+    ]
 
 
-def _stage_summaries() -> dict[str, dict[str, float]]:
-    """Per-stage latency summaries (``serve.stage_s{stage=...}``).
-
-    Read from the process registry, so the numbers cover everything
-    served since the last reset — the CLI resets per run, the grid per
-    cell.
-    """
-    histograms = get_registry().snapshot()["histograms"]
-    stages: dict[str, dict[str, float]] = {}
-    for key, summary in histograms.items():
-        match = _STAGE_KEY.match(key)
-        if match is not None:
-            stages[match.group("stage")] = summary
-    return stages
-
-
-def _quantiles(values: list[float]) -> dict[str, float]:
+def quantiles(values: list[float]) -> dict[str, float]:
+    """p50/p95/p99/mean of ``values`` (zeros when empty)."""
     if not values:
         return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0}
     array = np.asarray(values)
@@ -106,24 +118,6 @@ def _quantiles(values: list[float]) -> dict[str, float]:
         "p95": float(np.quantile(array, 0.95)),
         "p99": float(np.quantile(array, 0.99)),
         "mean": float(array.mean()),
-    }
-
-
-def run_sequential_baseline(
-    pipeline: AffectClassifierPipeline,
-    pool: list[np.ndarray],
-    schedule: list[tuple[float, str, int]],
-) -> dict[str, object]:
-    """The no-serving-layer path: one ``classify_waveform`` per window."""
-    start = time.perf_counter()
-    for _, _, pool_index in schedule:
-        pipeline.classify_waveform(pool[pool_index])
-    wall_s = time.perf_counter() - start
-    windows = len(schedule)
-    return {
-        "windows": windows,
-        "wall_s": wall_s,
-        "windows_per_s": windows / wall_s if wall_s > 0 else 0.0,
     }
 
 
@@ -149,8 +143,7 @@ def check_parity(
       defaults to must agree with float-weight labels on at least
       :data:`INT8_AGREEMENT_FLOOR` of the pool.
 
-    ``ok`` is the conjunction; the serve bench refuses to report a
-    throughput win that was bought with wrong answers.
+    ``ok`` is the conjunction.
     """
     clf = pipeline.classifier
     assert clf is not None
@@ -177,21 +170,15 @@ def run_serve_bench(
     seconds: float = 4.0,
     seed: int = 0,
     max_batch: int = 32,
-    max_wait_s: float = 0.25,
-    pool_size: int = POOL_SIZE,
     pipeline: AffectClassifierPipeline | None = None,
-    baseline: bool = True,
-    parity: bool = True,
-    quantized: bool = True,
     on_tick=None,
 ) -> dict[str, object]:
-    """Drive one serving configuration; returns a JSON-able report.
+    """Drive the steady workload through one server; returns a report.
 
-    The report's ``accounting`` section carries the CI contract: every
-    submitted window must come back either completed or explicitly shed
-    (``dropped == 0``), and ``parity`` carries the correctness contract
-    (:func:`check_parity` over the window pool — disable only for
-    timing-sensitive harnesses like the trace-overhead probe).
+    The report's ``accounting`` section carries the serving contract:
+    every submitted window must come back either completed or explicitly
+    shed (``dropped == 0``).  ``served.wall_s`` is the wall time of the
+    drive loop alone — what the overhead gates compare.
     ``on_tick(server, now)``, when given, runs after every poll — the
     monitoring-overhead probe hooks its alert manager and flight
     recorder here.
@@ -200,17 +187,14 @@ def run_serve_bench(
         pipeline = train_bench_pipeline(seed=seed)
     clf = pipeline.classifier
     assert clf is not None
-    pool = _make_pool(clf.label_names, pool_size, seed)
-    schedule = _make_schedule(sessions, seconds, seed, pool_size)
-    parity_report = check_parity(pipeline, pool) if parity else None
+    pool, _ = make_truth_pool(clf.label_names, POOL_SIZE, seed)
+    schedule = make_schedule(sessions, seconds, seed, POOL_SIZE)
 
     config = ServeConfig(
         max_batch=max_batch,
-        max_wait_s=max_wait_s,
         max_queue=max(max_batch * 8, 256),
         idle_ttl_s=max(seconds, 10.0),
         stale_ttl_s=None,
-        quantized=quantized,
     )
     server = AffectServer(pipeline, config)
     results = []
@@ -220,59 +204,48 @@ def run_serve_bench(
         if on_tick is not None:
             on_tick(server, now)
         results.extend(server.submit(session_id, pool[pool_index], now))
-    results.extend(server.drain(seconds + max_wait_s))
+    results.extend(server.drain(seconds + config.max_wait_s))
     wall_s = time.perf_counter() - start
 
     windows = len(schedule)
     completed = [r for r in results if not r.shed]
-    shed = [r for r in results if r.shed]
-    report: dict[str, object] = {
-        "config": {
-            "sessions": sessions,
-            "seconds": seconds,
-            "seed": seed,
-            "max_batch": max_batch,
-            "max_wait_s": max_wait_s,
-            "pool_size": pool_size,
-            "window_period_s": WINDOW_PERIOD_S,
-            "quantized": quantized,
-        },
+    return {
         "served": {
             "windows": windows,
             "wall_s": wall_s,
             "windows_per_s": windows / wall_s if wall_s > 0 else 0.0,
-            "latency_s": _quantiles([r.latency_s for r in completed]),
-            "cached": sum(1 for r in completed if r.cached),
-            "degraded": sum(1 for r in completed if r.degraded),
+            "latency_s": quantiles([r.latency_s for r in completed]),
             "cache_hit_rate": server.cache.hit_rate,
-            "batch_flushes": server.batcher.flushes,
-            "mean_batch": (
-                server.batcher.rows_flushed / max(server.batcher.flushes, 1)
-            ),
-            "coalesced_rows": (
-                server.batcher.rows_flushed - server.batcher.unique_rows_flushed
-            ),
-            "sessions_active": len(server.sessions),
-            "stages": _stage_summaries(),
         },
         "accounting": {
             "submitted": server.submitted,
             "completed": server.completed,
-            "shed": len(shed),
+            "shed": len(results) - len(completed),
             "pending_after_drain": server.pending,
             "dropped": server.dropped,
         },
     }
-    if parity_report is not None:
-        report["parity"] = parity_report
-    if baseline:
-        seq = run_sequential_baseline(pipeline, pool, schedule)
-        report["sequential"] = seq
-        report["speedup"] = (
-            report["served"]["windows_per_s"] / seq["windows_per_s"]
-            if seq["windows_per_s"] else 0.0
-        )
-    return report
+
+
+def interleaved_laps(
+    run_arm: Callable[[str], float], arms: tuple[str, ...], repeats: int,
+) -> list[dict[str, float]]:
+    """Paired wall times of ``arms``: one dict ``{arm: wall}`` per lap.
+
+    A discarded warm-up lap primes caches and the allocator; then every
+    lap runs all arms back to back, so they share one slice of host
+    drift, with the order rotated each lap so that no arm always enjoys
+    the warm caches of running second.  Callers aggregate per-lap
+    ratios (median) rather than each arm's best, which on a shared host
+    would compare one arm's luckiest slice against another's.
+    """
+    for arm in arms:  # warm-up lap, discarded
+        run_arm(arm)
+    laps: list[dict[str, float]] = []
+    for i in range(repeats):
+        k = i % len(arms)
+        laps.append({arm: run_arm(arm) for arm in arms[k:] + arms[:k]})
+    return laps
 
 
 def run_trace_workload(
@@ -286,9 +259,9 @@ def run_trace_workload(
     """The canned multi-session workload with tracing on.
 
     Clears the process tracer, reseeds its deterministic ID stream, runs
-    :func:`run_serve_bench` (no sequential baseline), and returns the
-    bench report plus every finished span — the input for the Perfetto /
-    JSONL exporters and the ``repro trace`` tree view.
+    :func:`run_serve_bench`, and returns the bench report plus every
+    finished span — the input for the Perfetto / JSONL exporters and the
+    ``repro trace`` tree view.
     """
     tracer = get_tracer()
     previous_rate = tracer.sample_rate
@@ -297,8 +270,7 @@ def run_trace_workload(
     try:
         report = run_serve_bench(
             sessions=sessions, seconds=seconds, seed=seed,
-            max_batch=max_batch, pipeline=pipeline, baseline=False,
-            parity=False,
+            max_batch=max_batch, pipeline=pipeline,
         )
         return report, tracer.spans
     finally:
@@ -316,8 +288,8 @@ def serve_chain_coverage(spans: list[Span]) -> dict[str, object]:
       ``serve.predict`` unless the flush degraded) →
       ``serve.controller`` otherwise.
 
-    This is the PR's acceptance metric: ``coverage`` must stay ≥ 0.95 on
-    the canned workload.
+    The tracing gate: ``coverage`` must stay ≥ 0.95 on the canned
+    workload.
     """
     by_trace: dict[str, list[Span]] = {}
     for span in spans:
@@ -351,106 +323,4 @@ def serve_chain_coverage(spans: list[Span]) -> dict[str, object]:
         "windows": windows,
         "covered": covered,
         "coverage": covered / windows if windows else 1.0,
-    }
-
-
-def measure_trace_overhead(
-    pipeline: AffectClassifierPipeline,
-    sessions: int = 16,
-    seconds: float = 4.0,
-    seed: int = 0,
-    max_batch: int = 32,
-    repeats: int = 12,
-) -> dict[str, float]:
-    """Wall-clock cost of tracing: identical runs, sampling 1.0 vs 0.0.
-
-    The arms are *interleaved* (off, on, off, on, ...) and each reports
-    its best-of-``repeats`` wall time.  A single back-to-back pair would
-    confound tracing cost with machine drift — on a busy host the
-    run-to-run spread of this ~100ms workload is several times the
-    effect being measured; interleaving exposes both arms to the same
-    drift phases and the min filters the additive noise, which is what
-    makes the number reproducible.  One unmeasured warmup pair primes
-    caches and the allocator.  The acceptance bound for the 16-session
-    config is ``overhead_frac < 0.02``.
-    """
-    tracer = get_tracer()
-    previous_rate = tracer.sample_rate
-
-    def one_run(rate: float) -> float:
-        tracer.configure(sample_rate=rate)
-        tracer.clear()
-        report = run_serve_bench(
-            sessions=sessions, seconds=seconds, seed=seed,
-            max_batch=max_batch, pipeline=pipeline, baseline=False,
-            parity=False,
-        )
-        return float(report["served"]["wall_s"])  # type: ignore[index]
-
-    try:
-        one_run(0.0)
-        one_run(1.0)
-        off_wall_s = float("inf")
-        on_wall_s = float("inf")
-        for _ in range(repeats):
-            off_wall_s = min(off_wall_s, one_run(0.0))
-            on_wall_s = min(on_wall_s, one_run(1.0))
-    finally:
-        tracer.configure(sample_rate=previous_rate)
-        tracer.clear()
-    overhead = on_wall_s / off_wall_s - 1.0 if off_wall_s > 0 else 0.0
-    return {
-        "sessions": sessions,
-        "seconds": seconds,
-        "repeats": repeats,
-        "tracing_off_wall_s": off_wall_s,
-        "tracing_on_wall_s": on_wall_s,
-        "overhead_frac": overhead,
-    }
-
-
-def run_serve_grid(
-    batch_sizes: tuple[int, ...] = (1, 8, 32, 128),
-    session_counts: tuple[int, ...] = (1, 16, 256),
-    seconds: float = 4.0,
-    seed: int = 0,
-) -> dict[str, object]:
-    """The full BENCH_serve grid: batch sizes x session counts.
-
-    One pipeline and, per session count, one sequential baseline are
-    shared across the row, so every cell differs only in ``max_batch``.
-    """
-    pipeline = train_bench_pipeline(seed=seed)
-    clf = pipeline.classifier
-    assert clf is not None
-    # Parity is a property of the pipeline + pool, not of any one cell,
-    # so the gates run once for the whole grid.
-    parity = check_parity(pipeline, _make_pool(clf.label_names,
-                                               POOL_SIZE, seed))
-    grid: dict[str, object] = {}
-    for sessions in session_counts:
-        pool = _make_pool(clf.label_names, POOL_SIZE, seed)
-        schedule = _make_schedule(sessions, seconds, seed, POOL_SIZE)
-        sequential = run_sequential_baseline(pipeline, pool, schedule)
-        row: dict[str, object] = {"sequential": sequential, "batched": {}}
-        for max_batch in batch_sizes:
-            get_registry().reset()
-            cell = run_serve_bench(
-                sessions=sessions, seconds=seconds, seed=seed,
-                max_batch=max_batch, pipeline=pipeline, baseline=False,
-                parity=False,
-            )
-            cell["speedup"] = (
-                cell["served"]["windows_per_s"] / sequential["windows_per_s"]
-                if sequential["windows_per_s"] else 0.0
-            )
-            row["batched"][str(max_batch)] = cell
-        grid[str(sessions)] = row
-    return {
-        "grid": grid,
-        "batch_sizes": list(batch_sizes),
-        "session_counts": list(session_counts),
-        "seconds": seconds,
-        "seed": seed,
-        "parity": parity,
     }

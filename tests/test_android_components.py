@@ -54,6 +54,19 @@ class TestMemoryModel:
         mem.release(app)
         assert mem.used_mb == 0.0
 
+    def test_release_all_returns_exactly_zero(self):
+        # Float accounting left 1.02e-12 MB charged after this sequence.
+        mem = MemoryModel(capacity_mb=4096, system_reserved_mb=1024)
+        apps = [AppSpec(f"a{i}", "Messaging", size, 10.0) for i, size in
+                enumerate([373.1, 251.6, 320.6, 225.0, 452.4, 251.7, 195.0,
+                           285.8])]
+        for app in apps:
+            mem.allocate(app)
+        for app in apps:
+            mem.release(app)
+        assert mem.used_mb == 0.0
+        assert mem.available_mb == 3072.0
+
     def test_cannot_overcommit(self):
         mem = MemoryModel(capacity_mb=1200, system_reserved_mb=1024)
         with pytest.raises(MemoryError):

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.affect.pipeline import AffectClassifierPipeline
 from repro.daemon import protocol
-from repro.daemon.bench import _http_get, run_daemon_bench
-from repro.daemon.server import DaemonConfig, ReproDaemon
+from repro.daemon.server import (
+    MAX_REPLY_BUFFER_BYTES,
+    DaemonConfig,
+    ReproDaemon,
+)
 from repro.datasets import emovo_like
 from repro.datasets.speech import synthesize_utterance
 from repro.obs import get_registry, labeled
@@ -30,6 +35,26 @@ def pipeline():
 def wave(pipeline):
     return synthesize_utterance(pipeline.classifier.label_names[0],
                                 actor=0, sentence=0, take=0)
+
+
+async def _http_get(host: str, port: int, path: str,
+                    timeout: float = 5.0) -> tuple[int, bytes]:
+    """Minimal HTTP GET over asyncio streams (no blocking urllib)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(
+            f"GET {path} HTTP/1.1\r\nHost: {host}\r\n"
+            "Connection: close\r\n\r\n".encode("ascii")
+        )
+        raw = await asyncio.wait_for(reader.read(), timeout)
+    finally:
+        writer.close()
+    head, _, body = raw.partition(b"\r\n\r\n")
+    try:
+        status = int(head.split(None, 2)[1])
+    except (IndexError, ValueError):
+        status = 0
+    return status, body
 
 
 def make_daemon(pipeline, tmp_path, *, serve: dict | None = None,
@@ -409,21 +434,193 @@ class TestAdminPlane:
         asyncio.run(run())
 
 
-class TestDaemonBenchSmoke:
-    def test_small_bench_passes_gates(self, pipeline, tmp_path):
-        report = run_daemon_bench(
-            sessions=6, seconds=1.0, seed=0, chaos_sessions=2,
-            period_s=0.2, pipeline=pipeline,
-            bundle_dir=str(tmp_path / "incidents"),
-        )
-        gates = report["gates"]
-        assert gates["ok"], gates
-        traffic = report["traffic"]
-        assert traffic["silent_drops"] == 0
-        assert traffic["peak_concurrent"] >= 6
-        assert report["chaos"]["aborted"] == 2
-        assert report["chaos"]["leaked_sessions"] == []
-        assert report["preemption"]["preempted_frames"] == 2
+async def _stream_session(daemon: ReproDaemon, session_id: str,
+                          frames: list[bytes], period_s: float,
+                          phase_s: float, shared: dict,
+                          abort_after: int | None = None) -> Counter:
+    """One paced client; returns how many replies each seq received.
+
+    Sending starts once every client of ``shared`` is welcomed, so all
+    sessions are open at once.  ``abort_after`` windows in, the client
+    hard-aborts its socket mid-stream (no ``bye``).  Otherwise it waits
+    for a reply to every window it sent, says ``bye`` and reads to the
+    daemon's close.
+    """
+    reader, writer = await asyncio.open_connection(daemon.config.host,
+                                                   daemon.port)
+    decoder = protocol.FrameDecoder()
+    replies: Counter = Counter()
+    answered = asyncio.Event()
+
+    async def read_loop() -> None:
+        try:
+            while data := await reader.read(65536):
+                for frame in decoder.feed(data):
+                    if frame["type"] == "welcome":
+                        shared["active"] += 1
+                        if shared["active"] == shared["sessions"]:
+                            shared["all_open"].set()
+                    elif frame["type"] == "result":
+                        replies[frame["seq"]] += 1
+                        if len(replies) == len(frames):
+                            answered.set()
+        except (ConnectionError, OSError):
+            pass
+
+    reads = asyncio.create_task(read_loop())
+    writer.write(protocol.encode_frame(protocol.hello_frame(session_id)))
+    await asyncio.wait_for(shared["all_open"].wait(), 10.0)
+    await asyncio.sleep(phase_s)
+    for seq, frame in enumerate(frames):
+        if seq == abort_after:
+            writer.transport.abort()
+            break
+        writer.write(frame)
+        await asyncio.sleep(period_s)
+    else:
+        await asyncio.wait_for(answered.wait(), 10.0)
+        writer.write(protocol.encode_frame({"type": "bye"}))
+    await asyncio.wait_for(reads, 10.0)
+    writer.close()
+    return replies
+
+
+async def _preemption_probe(daemon: ReproDaemon, extra: int) -> int:
+    """Fill the connection table, overflow it by ``extra``; count bounces."""
+    conns = []
+    try:
+        for i in range(daemon.config.max_connections + extra):
+            client = Client()
+            await client.connect(daemon, f"probe-{i:04d}")
+            conns.append(client)
+            await asyncio.sleep(0.002)  # distinct last_active: LRU order
+        bounced = 0
+        for client in conns[:extra]:
+            frame = await client.recv(2.0)
+            bounced += frame is not None and frame["type"] == "preempted"
+        return bounced
+    finally:
+        for client in conns:
+            client.close()
+
+
+class TestDaemonAt64Sessions:
+    """The serving contract over real sockets at 64 concurrent sessions."""
+
+    SESSIONS = 64
+    ABORTERS = 8
+    WINDOWS = 6
+    PERIOD_S = 0.1
+
+    def test_gates(self, pipeline, tmp_path):
+        from repro.serve.bench import POOL_SIZE, make_truth_pool
+
+        pool, _ = make_truth_pool(pipeline.classifier.label_names,
+                                  POOL_SIZE, seed=0)
+        signals = [protocol.encode_signal(w) for w in pool]
+        rng = np.random.default_rng(0)
+        picks = rng.integers(len(pool), size=(self.SESSIONS, self.WINDOWS))
+        phases = rng.uniform(0.0, self.PERIOD_S, size=self.SESSIONS)
+        frames = [
+            [protocol.encode_frame({"type": "window", "seq": seq,
+                                    "signal": signals[picks[s, seq]]})
+             for seq in range(self.WINDOWS)]
+            for s in range(self.SESSIONS)
+        ]
+        ids = [f"bench-{s:04d}" for s in range(self.SESSIONS)]
+
+        async def run():
+            daemon = make_daemon(pipeline, tmp_path,
+                                 serve={"max_wait_s": 0.1},
+                                 max_connections=self.SESSIONS)
+            await daemon.start()
+            try:
+                shared = {"active": 0, "sessions": self.SESSIONS,
+                          "all_open": asyncio.Event()}
+                replies = await asyncio.gather(*[
+                    _stream_session(
+                        daemon, ids[s], frames[s], self.PERIOD_S,
+                        float(phases[s]), shared,
+                        abort_after=(self.WINDOWS // 2
+                                     if s < self.ABORTERS else None),
+                    )
+                    for s in range(self.SESSIONS)
+                ])
+                # Every surviving client got exactly one reply per seq.
+                for counts in replies[self.ABORTERS:]:
+                    assert counts == Counter(range(self.WINDOWS)), counts
+                # Aborted and cleanly closed sessions alike are reaped.
+                await asyncio.sleep(0.3)
+                assert not [sid for sid in ids if sid in daemon.server.sessions]
+                assert not [sid for sid in ids if sid in daemon.route_ids()]
+                # Past capacity, exactly the overflow is bounced, explicitly.
+                assert await _preemption_probe(daemon, extra=2) == 2
+                host, port = daemon.config.host, daemon.admin_port
+                status, body = await _http_get(host, port, "/healthz")
+                assert status == 200 and json.loads(body)["ok"]
+                status, body = await _http_get(host, port, "/metrics")
+                assert status == 200 and b"repro_" in body
+            finally:
+                await daemon.stop()
+            assert daemon.server.stats()["dropped"] == 0
+
+        asyncio.run(run())
+
+
+class TestReplyBufferBound:
+    def test_client_that_never_reads_is_closed_at_the_bound(
+            self, pipeline, wave, tmp_path):
+        async def run():
+            # One window stays pending (long deadline, in-flight cap 1),
+            # so every further window is answered at once with a shed
+            # reply the client never reads.
+            daemon = make_daemon(pipeline, tmp_path, monitor=False,
+                                 profile=False, max_inflight=1,
+                                 serve={"max_wait_s": 60.0})
+            await daemon.start()
+            loop = asyncio.get_running_loop()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            sender = None
+            try:
+                await loop.sock_connect(sock, (daemon.config.host,
+                                               daemon.port))
+                await loop.sock_sendall(sock, protocol.encode_frame(
+                    protocol.hello_frame("u-silent")))
+                welcome = await asyncio.wait_for(loop.sock_recv(sock, 4096),
+                                                 5.0)
+                assert b"welcome" in welcome
+                transport = daemon._routes["u-silent"].writer.transport
+                # Small kernel buffers on both ends, so the daemon's own
+                # buffer is what fills.
+                transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                window = protocol.encode_frame(protocol.window_frame(0, wave))
+
+                async def send_forever() -> None:
+                    while True:
+                        await loop.sock_sendall(sock, window)
+
+                sender = asyncio.create_task(send_forever())
+                for _ in range(600):
+                    if daemon.reply_overflows:
+                        break
+                    assert (transport.get_write_buffer_size()
+                            <= MAX_REPLY_BUFFER_BYTES)
+                    await asyncio.sleep(0.05)
+                assert daemon.reply_overflows == 1
+                assert transport.get_write_buffer_size() <= MAX_REPLY_BUFFER_BYTES
+                assert "u-silent" not in daemon.route_ids()
+                assert "u-silent" not in daemon.server.sessions
+                assert daemon.health()["reply_overflows"] == 1
+            finally:
+                if sender is not None:
+                    sender.cancel()
+                sock.close()
+                await daemon.stop()
+
+        asyncio.run(run())
 
 
 class TestProfPlane:

@@ -555,19 +555,35 @@ class TestServeBenchSmoke:
         acct = report["accounting"]
         assert acct["dropped"] == 0
         assert acct["submitted"] == acct["completed"] + acct["shed"]
-        assert report["sequential"]["windows"] == report["served"]["windows"]
-        assert report["speedup"] > 0.0
+        assert acct["submitted"] == report["served"]["windows"] > 0
 
     def test_parity_gates_pass_on_bench_pool(self, pipeline):
-        from repro.serve.bench import run_serve_bench
+        from repro.serve.bench import POOL_SIZE, check_parity, make_truth_pool
 
-        report = run_serve_bench(sessions=2, seconds=0.5, seed=0,
-                                 max_batch=4, pipeline=pipeline)
-        parity = report["parity"]
+        pool, _ = make_truth_pool(pipeline.classifier.label_names,
+                                  POOL_SIZE, seed=0)
+        parity = check_parity(pipeline, pool)
         assert parity["dsp_batch_vs_single_ok"]
         assert parity["dsp_max_abs_diff"] == 0.0
+        assert parity["int8_label_agreement"] >= 0.98
         assert parity["int8_vs_float_ok"]
         assert parity["ok"]
+
+    def test_interleaved_laps_warm_up_then_rotate(self):
+        from repro.serve.bench import interleaved_laps
+
+        calls: list[str] = []
+
+        def run_arm(arm: str) -> float:
+            calls.append(arm)
+            return float(len(calls))
+
+        laps = interleaved_laps(run_arm, ("a", "b", "c"), repeats=3)
+        assert calls == ["a", "b", "c",  # warm-up lap, discarded
+                         "a", "b", "c", "b", "c", "a", "c", "a", "b"]
+        assert laps == [{"a": 4.0, "b": 5.0, "c": 6.0},
+                        {"b": 7.0, "c": 8.0, "a": 9.0},
+                        {"c": 10.0, "a": 11.0, "b": 12.0}]
 
 
 class TestEvictionAndOutcomes:
