@@ -18,12 +18,13 @@ Architecture — one event loop, one worker thread, one clock:
   ``drain`` call crosses into a single-worker
   :class:`~concurrent.futures.ThreadPoolExecutor` via
   ``loop.run_in_executor``.  One worker is a feature, not a limit: it
-  serialises server calls, which (together with asyncio's FIFO future
-  callbacks) guarantees per-session results are dispatched in
-  submission order — the invariant the seq-matching in
-  :meth:`ReproDaemon._dispatch` relies on.  BLAS runs on that worker
-  too: ``AffectServer`` pins OpenBLAS to its caller (:mod:`repro.blas`),
-  so no native pool spins beside it; ``/healthz`` reports the count.
+  serialises server calls, so the daemon adds no concurrency under the
+  serve stack.  Reply routing does not depend on it: every accepted
+  window gets a daemon-wide id that ``submit`` carries through to its
+  result, and :meth:`ReproDaemon._dispatch` looks the connection and the
+  client's seq up by that id.  BLAS runs on that worker too:
+  ``AffectServer`` pins OpenBLAS to its caller (:mod:`repro.blas`), so
+  no native pool spins beside it; ``/healthz`` reports the count.
 - **Admission gates.**  A connection cap with LRU preemption (the
   evicted peer gets an explicit ``preempted`` frame before close — the
   serve layer's never-silent-drop contract extended to connections)
@@ -33,7 +34,9 @@ Architecture — one event loop, one worker thread, one clock:
   abrupt reset, preemption — evicts the session through
   :meth:`~repro.serve.sessions.SessionManager.evict`; results still in
   flight for it complete against a detached stand-in and are counted
-  ``daemon.replies.unroutable``, never resurrecting state.
+  ``daemon.replies.unroutable``, never resurrecting state.  A closed
+  socket whose peer never reads is aborted after ``CLOSE_GRACE_S``, so
+  it cannot pin its fd and queued reply bytes.
 - **Monitoring.**  The poll loop drives the same
   :func:`~repro.obs.monitor.make_monitor` stack as ``repro monitor``:
   burn-rate alert rules sampled every tick, with the flight recorder
@@ -49,6 +52,7 @@ Architecture — one event loop, one worker thread, one clock:
 from __future__ import annotations
 
 import asyncio
+import itertools
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -58,13 +62,16 @@ from repro.daemon import protocol
 from repro.errors import ProtocolError
 from repro.obs import get_registry, labeled
 from repro.obs.monitor import make_monitor
-from repro.obs.prof import (
-    DEFAULT_INTERVAL_S,
-    HeapProfiler,
-    ProfileRecorder,
-    StackSampler,
-)
+from repro.obs.prof import HeapProfiler, ProfileRecorder, StackSampler
 from repro.serve.runtime import AffectServer, ServeResult
+
+#: Wall period of the poll loop (deadline flushes, idle eviction, alert
+#: sampling).
+POLL_PERIOD_S = 0.02
+#: A connection must complete its hello within this budget.
+HELLO_TIMEOUT_S = 5.0
+#: Bytes asked of the socket per ingest read.
+CHUNK_BYTES = 65536
 
 #: Per-connection bound on reply bytes waiting in the transport for a
 #: client that is not reading.  A reply that would take the buffer past
@@ -78,6 +85,9 @@ _REPLY_OVERFLOW_FRAME = protocol.encode_frame({
     "error": f"reply buffer over {MAX_REPLY_BUFFER_BYTES} bytes: "
              "client is not reading its replies",
 })
+#: A closed connection's transport keeps its fd and queued bytes until
+#: the peer reads them; past this grace it is aborted instead.
+CLOSE_GRACE_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -91,46 +101,31 @@ class DaemonConfig:
     #: Admin HTTP port; ``0`` binds an ephemeral port.
     admin_port: int = 0
     #: Connection-cap admission gate: at capacity, a new hello preempts
-    #: the least-recently-active connection (or is refused when
-    #: ``preempt`` is off).
+    #: the least-recently-active connection.
     max_connections: int = 64
     #: Per-session in-flight gate: windows submitted but unanswered
     #: beyond this are shed at the daemon with a degraded reply.
     max_inflight: int = 8
-    preempt: bool = True
-    #: Wall period of the poll loop (deadline flushes, idle eviction,
-    #: alert sampling).
-    poll_period_s: float = 0.02
-    #: A connection must complete its hello within this budget.
-    hello_timeout_s: float = 5.0
-    chunk_bytes: int = 65536
-    max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     #: Attach the burn-rate alerting + flight-recorder stack.
     monitor: bool = True
     bundle_dir: str = "incidents"
-    #: Attach the resident continuous profiler (stack sampler + the
-    #: admin plane's ``/debug/prof/*`` endpoints).
+    #: Attach the resident continuous profiler (stack sampler at
+    #: :data:`~repro.obs.prof.DEFAULT_INTERVAL_S` + the admin plane's
+    #: ``/debug/prof/*`` endpoints).
     profile: bool = True
-    #: Sampling interval of the resident profiler (default 100 Hz —
-    #: the rate the <2% overhead gate in BENCH_obs.json covers).
-    profile_interval_s: float = DEFAULT_INTERVAL_S
 
     def __post_init__(self) -> None:
         if self.max_connections < 1:
             raise ValueError("max_connections must be >= 1")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if self.poll_period_s <= 0:
-            raise ValueError("poll_period_s must be positive")
-        if self.profile_interval_s <= 0:
-            raise ValueError("profile_interval_s must be positive")
 
 
 class _Connection:
     """One admitted ingest connection (post-hello)."""
 
     __slots__ = ("writer", "session_id", "opened_at", "last_active",
-                 "pending", "windows", "shed", "closing")
+                 "inflight", "windows", "shed", "closing")
 
     def __init__(self, writer: asyncio.StreamWriter, session_id: str,
                  opened_at: float) -> None:
@@ -138,11 +133,8 @@ class _Connection:
         self.session_id = session_id
         self.opened_at = opened_at
         self.last_active = opened_at
-        #: Client seqs of windows inside the batcher, submission order.
-        #: Per-session completions come back in submission order (single
-        #: executor worker + in-order batch flushes), so a FIFO pop maps
-        #: each completed result back to the client's own seq.
-        self.pending: deque[int] = deque()
+        #: Windows submitted but not yet answered (the in-flight gate).
+        self.inflight = 0
         self.windows = 0
         self.shed = 0
         self.closing = False
@@ -159,6 +151,10 @@ class ReproDaemon:
             max_workers=1, thread_name_prefix="repro-serve"
         )
         self._routes: dict[str, _Connection] = {}
+        #: Request id -> (connection, client seq) of every window the
+        #: server holds; results are routed by this, nothing else.
+        self._inflight: dict[int, tuple[_Connection, int]] = {}
+        self._request_ids = itertools.count()
         self._ingest: asyncio.base_events.Server | None = None
         self._admin: asyncio.base_events.Server | None = None
         self._poll_task: asyncio.Task | None = None
@@ -180,8 +176,7 @@ class ReproDaemon:
         #: the first ``/debug/prof/heap`` hit (tracemalloc is too heavy
         #: to keep always-on).
         self.profiler: StackSampler | None = (
-            StackSampler(interval_s=self.config.profile_interval_s)
-            if self.config.profile else None
+            StackSampler() if self.config.profile else None
         )
         self._heap: HeapProfiler | None = None
         self.profile_recorder: ProfileRecorder | None = None
@@ -308,12 +303,12 @@ class ReproDaemon:
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         obs = get_registry()
-        decoder = protocol.FrameDecoder(self.config.max_frame_bytes)
+        decoder = protocol.FrameDecoder()
         queued: deque[dict] = deque()
 
         async def next_frame() -> dict | None:
             while not queued:
-                data = await reader.read(self.config.chunk_bytes)
+                data = await reader.read(CHUNK_BYTES)
                 if not data:
                     return None
                 queued.extend(decoder.feed(data))
@@ -322,15 +317,11 @@ class ReproDaemon:
         conn: _Connection | None = None
         reason = "disconnect"
         try:
-            hello = await asyncio.wait_for(
-                next_frame(), self.config.hello_timeout_s
-            )
+            hello = await asyncio.wait_for(next_frame(), HELLO_TIMEOUT_S)
             if hello is None:
                 return
             session_id = protocol.parse_hello(hello)
             conn = self._admit(session_id, writer)
-            if conn is None:
-                return
             self._send(conn, {
                 "type": "welcome", "session": session_id,
                 "proto": protocol.PROTOCOL_VERSION,
@@ -382,7 +373,7 @@ class ReproDaemon:
         conn.last_active = now
         conn.windows += 1
         obs = get_registry()
-        if len(conn.pending) >= self.config.max_inflight:
+        if conn.inflight >= self.config.max_inflight:
             # In-flight gate: answer *now* with the session's degraded
             # fallback instead of queueing — shed, never silently drop.
             conn.shed += 1
@@ -398,21 +389,18 @@ class ReproDaemon:
                 "tier": None, "latency_s": 0.0,
             })
             return
-        # Queue the client seq *before* the blocking submit: a
-        # flush-on-full may complete this very window, and its result is
-        # the last of this session's completed subsequence.
-        conn.pending.append(seq)
-        results = await self._run(
-            self.server.submit, conn.session_id, signal, now
-        )
-        self._dispatch(results, immediate_conn=conn, immediate_seq=seq)
+        request_id = next(self._request_ids)
+        self._inflight[request_id] = (conn, seq)
+        conn.inflight += 1
+        self._dispatch(await self._run(
+            self.server.submit, conn.session_id, signal, now, request_id
+        ))
 
     # -- admission / preemption --------------------------------------------
 
     def _admit(self, session_id: str,
-               writer: asyncio.StreamWriter) -> _Connection | None:
-        """Admission gate; returns the registered connection or ``None``."""
-        obs = get_registry()
+               writer: asyncio.StreamWriter) -> _Connection:
+        """Admission gate: make room if needed, register the connection."""
         existing = self._routes.get(session_id)
         if existing is not None:
             # Same-session takeover: the newest connection wins; the old
@@ -420,14 +408,6 @@ class ReproDaemon:
             # connection starts from a clean (unpoisoned) session.
             self._preempt(existing, reason="takeover")
         while len(self._routes) >= self.config.max_connections:
-            if not self.config.preempt:
-                obs.inc(labeled("daemon.refused", reason="capacity"))
-                self._send_to(writer, {
-                    "type": "error",
-                    "error": f"at capacity "
-                             f"({self.config.max_connections} connections)",
-                })
-                return None
             victim = min(self._routes.values(),
                          key=lambda c: c.last_active)
             self._preempt(victim, reason="capacity")
@@ -463,39 +443,25 @@ class ReproDaemon:
             writer.close()
         except (ConnectionError, RuntimeError, OSError):
             pass
+        # A peer that never reads would otherwise hold the socket open.
+        asyncio.get_running_loop().call_later(
+            CLOSE_GRACE_S, writer.transport.abort
+        )
 
     # -- replies -----------------------------------------------------------
 
-    def _dispatch(self, results: list[ServeResult],
-                  immediate_conn: _Connection | None = None,
-                  immediate_seq: int | None = None) -> None:
-        """Route served results back to their connections, re-seq'd.
+    def _dispatch(self, results: list[ServeResult]) -> None:
+        """Send each result to the connection its request id names.
 
-        Runs synchronously (no awaits) after each server call so the
-        per-session FIFO pops happen in server-call order.  A result
-        whose outcome is not ``"completed"`` was answered inline by the
-        submit call itself and therefore belongs to ``immediate_seq``;
-        completed results are flushes of pending windows and map to the
-        connection's FIFO head.
+        A result whose connection has closed since it was submitted is
+        counted unroutable instead.
         """
-        obs = get_registry()
         for result in results:
-            conn = self._routes.get(result.session_id)
-            if conn is None or conn.closing:
+            conn, client_seq = self._inflight.pop(result.seq)
+            conn.inflight -= 1
+            if conn.closing:
                 self.unroutable += 1
-                obs.inc("daemon.replies.unroutable")
-                continue
-            if result.outcome != "completed" and conn is immediate_conn:
-                client_seq = immediate_seq
-                try:
-                    conn.pending.remove(immediate_seq)
-                except ValueError:
-                    pass
-            elif conn.pending:
-                client_seq = conn.pending.popleft()
-            else:
-                self.unroutable += 1
-                obs.inc("daemon.replies.unroutable")
+                get_registry().inc("daemon.replies.unroutable")
                 continue
             frame = protocol.result_frame(result)
             frame["seq"] = client_seq
@@ -504,7 +470,7 @@ class ReproDaemon:
     def _send(self, conn: _Connection, frame: dict) -> None:
         if conn.closing:
             return
-        data = protocol.encode_frame(frame, self.config.max_frame_bytes)
+        data = protocol.encode_frame(frame)
         buffered = conn.writer.transport.get_write_buffer_size()
         if (buffered + len(data) + len(_REPLY_OVERFLOW_FRAME)
                 > MAX_REPLY_BUFFER_BYTES):
@@ -518,9 +484,7 @@ class ReproDaemon:
         self._write(conn.writer, data)
 
     def _send_to(self, writer: asyncio.StreamWriter, frame: dict) -> None:
-        self._write(writer, protocol.encode_frame(
-            frame, self.config.max_frame_bytes
-        ))
+        self._write(writer, protocol.encode_frame(frame))
 
     def _write(self, writer: asyncio.StreamWriter, data: bytes) -> None:
         try:
@@ -534,7 +498,7 @@ class ReproDaemon:
         """Deadline flushes, idle eviction, gauges, alert sampling."""
         obs = get_registry()
         while True:
-            await asyncio.sleep(self.config.poll_period_s)
+            await asyncio.sleep(POLL_PERIOD_S)
             now = self.now()
             try:
                 results = await self._run(self.server.poll, now)

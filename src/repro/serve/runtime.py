@@ -93,6 +93,7 @@ class ServeResult:
     #: hit), ``"absorbed"`` (terminal adaptive tier answered instantly),
     #: or ``"shed"`` (admission refused it; degraded fallback answer).
     outcome: str = "completed"
+    #: The id :meth:`AffectServer.submit` was given, else its own count.
     seq: int = field(default=-1, repr=False)
 
     @property
@@ -184,13 +185,15 @@ class AffectServer:
 
     # -- ingest ------------------------------------------------------------
 
-    def submit(self, session_id: str, signal: np.ndarray,
-               now: float) -> list[ServeResult]:
+    def submit(self, session_id: str, signal: np.ndarray, now: float,
+               seq: int | None = None) -> list[ServeResult]:
         """Accept one raw window from ``session_id`` at workload time ``now``.
 
         Returns the results this call completed: ``[]`` when the window
         joined the pending batch, one cache-hit/shed result for this
         window, or a whole batch worth when it triggered flush-on-full.
+        The window's result carries ``seq`` back, so a caller can route
+        it by id; without one the server numbers windows 0, 1, 2, ...
         """
         obs = get_registry()
         tracer = get_tracer()
@@ -198,8 +201,9 @@ class AffectServer:
             self.submitted += 1
             obs.inc("serve.requests")
             session = self.sessions.get_or_create(session_id, now)
-            seq = self._seq
-            self._seq += 1
+            if seq is None:
+                seq = self._seq
+                self._seq += 1
             root = tracer.start_span(
                 "serve.window", workload_time=now, root=True,
                 attrs={"session": session_id, "seq": seq},

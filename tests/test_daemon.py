@@ -13,6 +13,7 @@ import pytest
 from repro.affect.pipeline import AffectClassifierPipeline
 from repro.daemon import protocol
 from repro.daemon.server import (
+    CLOSE_GRACE_S,
     MAX_REPLY_BUFFER_BYTES,
     DaemonConfig,
     ReproDaemon,
@@ -35,6 +36,20 @@ def pipeline():
 def wave(pipeline):
     return synthesize_utterance(pipeline.classifier.label_names[0],
                                 actor=0, sentence=0, take=0)
+
+
+@pytest.fixture(scope="module")
+def other_wave(pipeline):
+    """A window the pipeline labels differently from ``wave``."""
+    return synthesize_utterance(pipeline.classifier.label_names[1],
+                                actor=0, sentence=0, take=0)
+
+
+def served_alone(pipeline, signal) -> str:
+    """The label ``signal`` gets from a fresh server, on its own."""
+    server = AffectServer(pipeline)
+    results = server.submit("alone", signal, 0.0) + server.drain(0.0)
+    return results[0].label
 
 
 async def _http_get(host: str, port: int, path: str,
@@ -132,7 +147,7 @@ class TestIngest:
         asyncio.run(run())
 
     def test_seq_mapping_across_pipelined_windows(self, pipeline, wave,
-                                                  tmp_path):
+                                                  other_wave, tmp_path):
         # Client-chosen seqs (not 0..n) must come back on the replies
         # even when windows pend across deadline flushes.
         async def run():
@@ -149,6 +164,21 @@ class TestIngest:
                 for _ in seqs:
                     got.append((await client.expect("result"))["seq"])
                 assert got == seqs
+                # A fresh window pends in the batcher while a cached one
+                # sent after it is answered at once: the replies cross,
+                # and each must still carry its own seq.
+                client.send(protocol.window_frame(40, other_wave))
+                client.send(protocol.window_frame(41, wave))
+                replies = {}
+                for _ in range(2):
+                    reply = await client.expect("result")
+                    replies[reply["seq"]] = reply
+                assert sorted(replies) == [40, 41]
+                assert replies[41]["outcome"] == "cached"
+                assert replies[41]["label"] == served_alone(pipeline, wave)
+                assert replies[40]["outcome"] == "completed"
+                assert replies[40]["label"] == served_alone(pipeline,
+                                                            other_wave)
                 client.close()
             finally:
                 await daemon.stop()
@@ -249,22 +279,40 @@ class TestAdmissionAndReaping:
 
         asyncio.run(run())
 
-    def test_refusal_when_preemption_disabled(self, pipeline, tmp_path):
+    def test_takeover_with_window_pending_routes_replies_by_id(
+            self, pipeline, wave, other_wave, tmp_path):
+        # A's window is still in the batcher when B takes the session
+        # over.  B's second window fills the batch, so one flush answers
+        # A's window and both of B's: each reply must reach the
+        # connection whose window it answers, not whichever connection
+        # holds the session id now.
+        label_b = served_alone(pipeline, other_wave)
+        assert label_b != served_alone(pipeline, wave)
+
         async def run():
             daemon = make_daemon(pipeline, tmp_path, monitor=False,
-                                 max_connections=1, preempt=False)
+                                 serve={"max_batch": 3, "max_wait_s": 60.0})
             await daemon.start()
             try:
                 first = Client()
-                await first.connect(daemon, "u-a")
+                await first.connect(daemon, "u-dup")
+                first.send(protocol.window_frame(0, wave))
+                for _ in range(100):
+                    if daemon.server.pending:
+                        break
+                    await asyncio.sleep(0.01)
+                assert daemon.server.pending == 1
+
                 second = Client()
-                second.reader, second.writer = await asyncio.open_connection(
-                    daemon.config.host, daemon.port
-                )
-                second.send(protocol.hello_frame("u-b"))
-                error = await second.expect("error")
-                assert "capacity" in error["error"]
-                assert daemon.route_ids() == ["u-a"]
+                await second.connect(daemon, "u-dup")
+                await first.expect("preempted")
+                second.send(protocol.window_frame(0, other_wave))
+                second.send(protocol.window_frame(1, other_wave))
+                replies = [await second.expect("result") for _ in range(2)]
+                assert sorted(r["seq"] for r in replies) == [0, 1]
+                assert [r["label"] for r in replies] == [label_b, label_b]
+                assert daemon.unroutable == 1  # A's, whose socket closed
+                assert daemon.server.dropped == 0
                 first.close()
                 second.close()
             finally:
@@ -563,6 +611,8 @@ class TestDaemonAt64Sessions:
             finally:
                 await daemon.stop()
             assert daemon.server.stats()["dropped"] == 0
+            # No request id outlives its reply, aborted clients included.
+            assert daemon._inflight == {}
 
         asyncio.run(run())
 
@@ -599,8 +649,11 @@ class TestReplyBufferBound:
                 window = protocol.encode_frame(protocol.window_frame(0, wave))
 
                 async def send_forever() -> None:
-                    while True:
-                        await loop.sock_sendall(sock, window)
+                    try:
+                        while True:
+                            await loop.sock_sendall(sock, window)
+                    except OSError:  # the daemon aborted the socket
+                        pass
 
                 sender = asyncio.create_task(send_forever())
                 for _ in range(600):
@@ -614,6 +667,14 @@ class TestReplyBufferBound:
                 assert "u-silent" not in daemon.route_ids()
                 assert "u-silent" not in daemon.server.sessions
                 assert daemon.health()["reply_overflows"] == 1
+                # The client still reads nothing, yet within the grace
+                # the daemon lets go of the socket and its queued bytes.
+                closed_at = loop.time()
+                held = transport.get_extra_info("socket")
+                while held.fileno() != -1:
+                    assert loop.time() - closed_at < CLOSE_GRACE_S + 2.0
+                    await asyncio.sleep(0.05)
+                assert transport.get_write_buffer_size() == 0
             finally:
                 if sender is not None:
                     sender.cancel()
